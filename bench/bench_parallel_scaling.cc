@@ -1,4 +1,5 @@
-// E-exec — the batch-execution runtime vs the seed's serial loop.
+// E-exec — the exec runtime, served through ShapleyService, vs the seed's
+// serial loop.
 //
 // The seed's SvcEngine::AllValues was a loop of independent Value calls:
 // per fact, two full FGMC oracle counts (SvcViaFgmc) or a rebuilt 2^|Dn|
@@ -7,11 +8,12 @@
 // one satisfaction table plus one tallying sweep — and fans it across a
 // thread pool with a shared oracle cache.
 //
-// Reported: wall time of the seed-style serial loop vs BatchSvcRunner at
-// 1/2/4 threads, the speedup, oracle/cache counters, and a bit-identical
-// check of the values. `--json out.json` emits the rows machine-readably.
+// Reported: wall time of the seed-style serial loop vs ShapleyService (the
+// registry's "lifted" and "brute" engines) at 1/2/4 threads, the speedup,
+// oracle-cache counters, and a bit-identical check of the values.
+// `--json out.json` emits the rows machine-readably.
 //
-// Expected shape: the 1-thread batch already beats the serial loop by ~2x
+// Expected shape: the 1-thread service run beats the serial loop by ~2x
 // on the lifted pipeline (halved oracle calls) and by ~|Dn|x on brute
 // force (shared table + integer tallying); extra threads stack on top when
 // the hardware has cores to give.
@@ -26,8 +28,8 @@
 #include "shapley/data/fact.h"
 #include "shapley/engines/fgmc.h"
 #include "shapley/engines/svc.h"
-#include "shapley/exec/batch_runner.h"
 #include "shapley/query/query_parser.h"
+#include "shapley/service/shapley_service.h"
 
 namespace {
 
@@ -69,14 +71,15 @@ struct RunRow {
   size_t threads;
   double ms;
   double speedup;
-  ExecStats stats;
+  size_t oracle_calls;  ///< OracleCache lookups (hits + misses).
+  size_t cache_hits;
   bool identical;
 };
 
 void Report(Table& table, JsonReporter& json, const RunRow& row,
             size_t facts) {
   table.PrintRow(row.workload, row.mode, row.threads, row.ms, row.speedup,
-                 row.stats.oracle_calls, row.stats.cache_hits,
+                 row.oracle_calls, row.cache_hits,
                  bench::PassFail(row.identical));
   json.Row({{"workload", row.workload},
             {"mode", row.mode},
@@ -84,40 +87,48 @@ void Report(Table& table, JsonReporter& json, const RunRow& row,
             {"facts", static_cast<double>(facts)},
             {"ms", row.ms},
             {"speedup", row.speedup},
-            {"oracle_calls", static_cast<double>(row.stats.oracle_calls)},
-            {"cache_hits", static_cast<double>(row.stats.cache_hits)},
+            {"oracle_calls", static_cast<double>(row.oracle_calls)},
+            {"cache_hits", static_cast<double>(row.cache_hits)},
             {"identical", row.identical ? 1.0 : 0.0}});
 }
 
-template <typename MakeEngine>
-void RunWorkload(const std::string& workload, MakeEngine make_engine,
-                 const QueryPtr& query, const PartitionedDatabase& db,
-                 Table& table, JsonReporter& json, bool& all_identical) {
+// `engine` names the registry entry the service runs; `serial_engine` is
+// the same engine built by hand, driven through the seed's per-fact loop.
+void RunWorkload(const std::string& workload, const std::string& engine,
+                 SvcEngine& serial_engine, const QueryPtr& query,
+                 const PartitionedDatabase& db, Table& table,
+                 JsonReporter& json, bool& all_identical) {
   const size_t facts = db.NumEndogenous();
 
-  auto serial_engine = make_engine();
   Timer serial_timer;
   std::map<Fact, BigRational> expected =
-      SeedSerialLoop(*serial_engine, *query, db);
+      SeedSerialLoop(serial_engine, *query, db);
   const double serial_ms = serial_timer.ElapsedMs();
   Report(table, json,
-         RunRow{workload, "seed-serial-loop", 1, serial_ms, 1.0, ExecStats{},
-                true},
+         RunRow{workload, "seed-serial-loop", 1, serial_ms, 1.0, 0, 0, true},
          facts);
 
-  std::vector<BatchInstance> batch{{query, db}};
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    BatchOptions options;
-    options.threads = threads;
-    BatchSvcRunner runner(make_engine(), options);
+    ShapleyService service(ServiceOptions{.threads = threads});
+    SvcRequest request;
+    request.query = query;
+    request.db = db;
+    request.engine = engine;
+    const ServiceStats before = service.Stats();
     Timer timer;
-    auto results = runner.AllValues(batch);
+    SvcResponse response = service.Submit(std::move(request)).get();
     const double ms = timer.ElapsedMs();
-    const bool identical = results.size() == 1 && results[0] == expected;
+    const ServiceStats after = service.Stats();
+    const bool identical = response.ok() && response.values == expected;
+    if (!response.ok()) {
+      std::cerr << workload << ": " << response.error->ToString() << "\n";
+    }
     all_identical = all_identical && identical;
+    const size_t hits = after.cache_hits - before.cache_hits;
+    const size_t misses = after.cache_misses - before.cache_misses;
     Report(table, json,
-           RunRow{workload, "batch", threads, ms,
-                  ms > 0 ? serial_ms / ms : 0.0, runner.last_stats(),
+           RunRow{workload, "service", threads, ms,
+                  ms > 0 ? serial_ms / ms : 0.0, hits + misses, hits,
                   identical},
            facts);
   }
@@ -136,8 +147,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner(
-      "E-exec / batch runtime vs seed serial loop — hierarchical q = "
-      "R(x), S(x,y)");
+      "E-exec / exec runtime (via ShapleyService) vs seed serial loop — "
+      "hierarchical q = R(x), S(x,y)");
   Table table({"workload", "mode", "threads", "ms", "speedup", "oracle",
                "hits", "values"},
               {16, 18, 9, 12, 10, 8, 7, 12});
@@ -148,20 +159,17 @@ int main(int argc, char** argv) {
     auto schema = Schema::Create();
     CqPtr q = ParseCq(schema, "R(x), S(x,y)");
     PartitionedDatabase db = HierarchicalInstance(schema, k);
-    RunWorkload(
-        "lifted-fgmc",
-        [] {
-          return std::make_shared<SvcViaFgmc>(std::make_shared<LiftedFgmc>());
-        },
-        q, db, table, json, all_identical);
+    SvcViaFgmc serial(std::make_shared<LiftedFgmc>());
+    RunWorkload("lifted-fgmc", "lifted", serial, q, db, table, json,
+                all_identical);
   }
   {
     auto schema = Schema::Create();
     CqPtr q = ParseCq(schema, "R(x), S(x,y)");
     PartitionedDatabase db = HierarchicalInstance(schema, brute_k);
-    RunWorkload(
-        "brute-force", [] { return std::make_shared<BruteForceSvc>(); }, q,
-        db, table, json, all_identical);
+    BruteForceSvc serial;
+    RunWorkload("brute-force", "brute", serial, q, db, table, json,
+                all_identical);
   }
 
   std::cout << "\nvalues bit-identical across all modes: "

@@ -10,11 +10,12 @@ class TraceRecorder;
 class OracleCache;
 class ThreadPool;
 
-/// Optional shared execution resources, installed on engines by the batch
-/// runtime (see exec/batch_runner.h) or by hand. Null members mean "serial"
-/// and "uncached"; engines must produce identical values either way — the
-/// context may only change how fast they are obtained. The installer keeps
-/// ownership and must outlive every engine call that uses the context.
+/// Optional shared execution resources, installed on engines by
+/// ShapleyService (service/shapley_service.h) or by hand. Null members mean
+/// "serial" and "uncached"; engines must produce identical values either
+/// way — the context may only change how fast they are obtained. The
+/// installer keeps ownership and must outlive every engine call that uses
+/// the context.
 struct ExecContext {
   ThreadPool* pool = nullptr;
   OracleCache* cache = nullptr;

@@ -16,9 +16,8 @@
 namespace shapley {
 
 /// A fixed-size worker pool with task submission and fork-join parallel
-/// loops — the execution substrate of the batch runtime (Section "exec" of
-/// the architecture; see exec/batch_runner.h for the high-level entry
-/// point).
+/// loops — the execution substrate of the exec runtime (Section "exec" of
+/// the architecture; ShapleyService owns the process-wide pool).
 ///
 /// The hard problems this library computes (#P-hard counting, exponential
 /// brute-force sweeps) are embarrassingly batchable: per-fact and per-mask

@@ -544,7 +544,6 @@ Json EncodeResponse(const SvcResponse& response, const Schema& schema) {
     approx.Set("half_width", Json::Number(info.half_width));
     approx.Set("confidence", Json::Number(info.confidence));
     approx.Set("range", Json::Number(info.range));
-    approx.Set("memo_hits", Json::Number(uint64_t{info.memo_hits}));
     approx.Set("strategy", Json::Str(info.strategy));
     approx.Set("hoeffding_baseline",
                Json::Number(uint64_t{info.hoeffding_baseline}));
@@ -579,6 +578,11 @@ Json EncodeResponse(const SvcResponse& response, const Schema& schema) {
   Json stats;
   stats.Set("queue_ms", Json::Number(response.stats.queue_ms));
   stats.Set("exec_ms", Json::Number(response.stats.exec_ms));
+  // Cache telemetry, not part of the certified estimate (see codec.h).
+  if (response.approx.has_value()) {
+    stats.Set("memo_hits",
+              Json::Number(uint64_t{response.approx->memo_hits}));
+  }
   json.Set("stats", std::move(stats));
   return json;
 }
@@ -768,7 +772,6 @@ std::optional<SvcError> DecodeResponse(const Json& json,
         !ReadDouble(*approx, "half_width", &info.half_width) ||
         !ReadDouble(*approx, "confidence", &info.confidence) ||
         !ReadDouble(*approx, "range", &info.range) ||
-        !ReadSize(*approx, "memo_hits", &info.memo_hits) ||
         !ReadString(*approx, "strategy", &info.strategy) ||
         !ReadSize(*approx, "hoeffding_baseline", &info.hoeffding_baseline) ||
         !ReadSize(*approx, "checkpoints", &info.checkpoints) ||
@@ -838,10 +841,13 @@ std::optional<SvcError> DecodeResponse(const Json& json,
     if (stats->IfObject() == nullptr) {
       return Invalid("response.stats: expected a JSON object");
     }
+    size_t memo_hits = 0;
     if (!ReadDouble(*stats, "queue_ms", &response.stats.queue_ms) ||
-        !ReadDouble(*stats, "exec_ms", &response.stats.exec_ms)) {
+        !ReadDouble(*stats, "exec_ms", &response.stats.exec_ms) ||
+        !ReadSize(*stats, "memo_hits", &memo_hits)) {
       return Invalid("response.stats: malformed field types");
     }
+    if (response.approx.has_value()) response.approx->memo_hits = memo_hits;
   }
 
   if (const Json* trace = json.Find("trace")) {

@@ -44,7 +44,7 @@ namespace shapley::net {
 /// u–z naming convention and always re-parses to the same query.
 /// Deadlines cross the wire as a RELATIVE timeout_ms (an absolute
 /// steady_clock point is meaningless in another process); the decoder
-/// re-anchors it at decode time. engine_instance and cancel tokens are
+/// re-anchors it at decode time. Cancel tokens and trace recorders are
 /// process-local by nature and never serialize.
 ///
 /// Response wire shape (values as exact "p/q" strings — BigRational
@@ -58,15 +58,21 @@ namespace shapley::net {
 ///     "values": [{"fact": "R(a)", "value": "1/3",
 ///                 "approx_value": 0.33333...}, ...],
 ///     "ranked": [...],                              // max-value / top-k
-///     "approx": {... full ApproxInfo ...},          // only on estimates
+///     "approx": {... ApproxInfo but memo_hits ...}, // only on estimates
 ///     "error": {"code": "capacity-exceeded", "status": 413,
 ///               "message": "...", "engine": ""},    // only on failure
 ///     "trace": {"trace_id": "<32 hex>",             // only when requested
 ///               "root": {"name": "backend", "start_ms": 0, "ms": ...,
 ///                        "attrs": {"k": "v", ...},  // omitted when empty
 ///                        "children": [{...}, ...]}},// omitted when empty
-///     "stats": {"queue_ms": ..., "exec_ms": ...}
+///     "stats": {"queue_ms": ..., "exec_ms": ...,
+///               "memo_hits": ...}       // memo_hits only on estimates
 ///   }
+///
+/// "approx" carries the certified estimate contract only: everything in it
+/// is a function of (request bytes, seed). ApproxInfo::memo_hits counts
+/// SatMemo cache hits, which depend on what the process computed before,
+/// so it rides in "stats" with the timings.
 ///
 /// The trace block is a SPAN TREE (obs/trace.h): start_ms is the offset
 /// from the parent span's start, so child spans nest within their parent's

@@ -3,17 +3,14 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 namespace shapley::net {
@@ -27,32 +24,44 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-#if defined(__linux__)
+}  // namespace
 
-class EpollPoller : public Poller {
+/// The loop's epoll instance: fds registered under a 64-bit tag, and one
+/// Wait translating epoll events into readiness flags.
+class Poller {
  public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
+  struct Event {
+    uint64_t tag = 0;
+    bool readable = false;
+    bool writable = false;
+    bool hangup = false;
+  };
+
+  Poller() : epfd_(::epoll_create1(0)) {
+    if (epfd_ < 0) {
+      throw std::runtime_error(std::string("EventLoop: epoll_create1: ") +
+                               std::strerror(errno));
+    }
   }
+  ~Poller() { ::close(epfd_); }
 
-  bool valid() const { return epfd_ >= 0; }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-  void Add(int fd, uint64_t tag, bool read, bool write) override {
+  void Add(int fd, uint64_t tag, bool read, bool write) {
     epoll_event ev = Event_(tag, read, write);
     ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
   }
 
-  void Update(int fd, uint64_t tag, bool read, bool write) override {
+  void Update(int fd, uint64_t tag, bool read, bool write) {
     epoll_event ev = Event_(tag, read, write);
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  bool Wait(int timeout_ms, std::vector<Event>* out) override {
+  /// Fills *out; returns false only on unrecoverable epoll failure.
+  bool Wait(int timeout_ms, std::vector<Event>* out) {
     out->clear();
     epoll_event events[64];
     int n;
@@ -72,8 +81,6 @@ class EpollPoller : public Poller {
     return true;
   }
 
-  bool using_epoll() const override { return true; }
-
  private:
   static epoll_event Event_(uint64_t tag, bool read, bool write) {
     epoll_event ev{};
@@ -84,88 +91,6 @@ class EpollPoller : public Poller {
 
   int epfd_;
 };
-
-#endif  // defined(__linux__)
-
-/// Portable poll(2) backend: a flat pollfd array with swap-erase removal.
-/// O(n) per wait is perfectly fine at the connection counts a single
-/// process serves; the point is identical SEMANTICS to the epoll backend.
-class PollPoller : public Poller {
- public:
-  void Add(int fd, uint64_t tag, bool read, bool write) override {
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, Events_(read, write), 0});
-    tags_.push_back(tag);
-  }
-
-  void Update(int fd, uint64_t tag, bool read, bool write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    fds_[it->second].events = Events_(read, write);
-    tags_[it->second] = tag;
-  }
-
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const size_t i = it->second;
-    const size_t last = fds_.size() - 1;
-    if (i != last) {
-      fds_[i] = fds_[last];
-      tags_[i] = tags_[last];
-      index_[fds_[i].fd] = i;
-    }
-    fds_.pop_back();
-    tags_.pop_back();
-    index_.erase(it);
-  }
-
-  bool Wait(int timeout_ms, std::vector<Event>* out) override {
-    out->clear();
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return false;
-    for (size_t i = 0; i < fds_.size() && n > 0; ++i) {
-      if (fds_[i].revents == 0) continue;
-      --n;
-      Event event;
-      event.tag = tags_[i];
-      event.readable = (fds_[i].revents & POLLIN) != 0;
-      event.writable = (fds_[i].revents & POLLOUT) != 0;
-      event.hangup =
-          (fds_[i].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out->push_back(event);
-    }
-    return true;
-  }
-
-  bool using_epoll() const override { return false; }
-
- private:
-  static short Events_(bool read, bool write) {
-    return static_cast<short>((read ? POLLIN : 0) | (write ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::vector<uint64_t> tags_;
-  std::unordered_map<int, size_t> index_;
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> MakePoller(bool force_poll) {
-#if defined(__linux__)
-  if (!force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) return epoll;
-  }
-#else
-  (void)force_poll;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 }  // namespace internal
 
@@ -238,6 +163,9 @@ EventLoop::EventLoop(EventLoopOptions options, RequestFn on_request)
 EventLoop::~EventLoop() { Stop(); }
 
 void EventLoop::Start(Socket listener) {
+  // First: a failing epoll_create1 throws before anything is taken over,
+  // and the listener closes with the argument.
+  poller_ = std::make_unique<internal::Poller>();
   listener_ = std::move(listener);
   internal::SetNonBlocking(listener_.fd());
   int pipe_fds[2];
@@ -249,7 +177,6 @@ void EventLoop::Start(Socket listener) {
   wake_write_fd_ = pipe_fds[1];
   internal::SetNonBlocking(wake_read_fd_);
   internal::SetNonBlocking(wake_write_fd_);
-  poller_ = internal::MakePoller(options_.force_poll);
   poller_->Add(listener_.fd(), kListenerTag, /*read=*/true, /*write=*/false);
   poller_->Add(wake_read_fd_, kWakeTag, /*read=*/true, /*write=*/false);
   running_.store(true);
@@ -316,7 +243,6 @@ EventLoopStats EventLoop::stats() const {
       dispatch_inflight_stat_.load(std::memory_order_relaxed);
   stats.output_queue_bytes =
       output_queue_bytes_.load(std::memory_order_relaxed);
-  stats.using_epoll = poller_ != nullptr && poller_->using_epoll();
   return stats;
 }
 

@@ -18,9 +18,8 @@
 namespace shapley::net {
 
 /// The readiness core of the network front: ONE loop thread multiplexing
-/// the listener and every connection fd through epoll (poll() fallback),
-/// instead of one OS thread per socket. Each connection runs a small state
-/// machine:
+/// the listener and every connection fd through epoll, instead of one OS
+/// thread per socket. Each connection runs a small state machine:
 ///
 ///   read-accumulate → parse (HttpRequestParser) → dispatch → write-drain
 ///
@@ -48,9 +47,6 @@ struct EventLoopOptions {
   /// loop drains; the loop (which must not block) disconnects instead.
   size_t max_output_queue_bytes = 4 * 1024 * 1024;
   size_t max_body_bytes = 8 * 1024 * 1024;
-  /// Use the portable poll() backend even where epoll is available (the
-  /// fallback must stay honest — tests run both).
-  bool force_poll = false;
   /// Prebuilt full wire responses (head + body) the loop answers itself;
   /// all four imply Connection: close.
   std::string response_400;  ///< Malformed HTTP.
@@ -66,7 +62,7 @@ struct EventLoopOptions {
 /// Monotone counters + live gauges of the loop, mirrored into the
 /// shapley_server_eventloop_* metric families by the server.
 struct EventLoopStats {
-  uint64_t wakeups = 0;       ///< Poller returns (epoll_wait/poll calls).
+  uint64_t wakeups = 0;       ///< epoll_wait returns.
   uint64_t events = 0;        ///< Readiness events handled.
   uint64_t accepted = 0;
   uint64_t rejected = 0;      ///< 503 at the connection cap.
@@ -80,7 +76,6 @@ struct EventLoopStats {
   size_t connections_live = 0;
   size_t dispatch_inflight = 0;      ///< Dispatched, not yet completed.
   size_t output_queue_bytes = 0;     ///< Queued across all connections.
-  bool using_epoll = false;
 };
 
 class EventLoop;
@@ -104,27 +99,8 @@ struct ConnShared {
   std::chrono::steady_clock::time_point last_write_progress;
 };
 
-/// Readiness-poller seam: epoll on Linux, poll() everywhere (and on Linux
-/// under force_poll, so the fallback is exercised by the test fleet).
-class Poller {
- public:
-  struct Event {
-    uint64_t tag = 0;
-    bool readable = false;
-    bool writable = false;
-    bool hangup = false;
-  };
-
-  virtual ~Poller() = default;
-  virtual void Add(int fd, uint64_t tag, bool read, bool write) = 0;
-  virtual void Update(int fd, uint64_t tag, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Fills *out; returns false only on unrecoverable poller failure.
-  virtual bool Wait(int timeout_ms, std::vector<Event>* out) = 0;
-  virtual bool using_epoll() const = 0;
-};
-
-std::unique_ptr<Poller> MakePoller(bool force_poll);
+/// The epoll instance of one loop (defined in event_loop.cc).
+class Poller;
 
 }  // namespace internal
 
@@ -168,7 +144,8 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Takes the bound listener and spawns the loop thread.
+  /// Takes the bound listener and spawns the loop thread. Throws
+  /// std::runtime_error when epoll_create1 fails (the listener is closed).
   void Start(Socket listener);
 
   /// Graceful drain: stop accepting, cut idle connections immediately,

@@ -302,38 +302,6 @@ bool ReadHeaders(SocketReader* reader, HttpHeaders* headers) {
 
 }  // namespace
 
-HttpReadResult ReadHttpRequest(SocketReader* reader, size_t max_body,
-                               HttpRequest* out) {
-  std::string line;
-  if (!reader->ReadLine(&line)) {
-    if (reader->TimedOut()) return HttpReadResult::kTimeout;
-    return reader->Eof() ? HttpReadResult::kClosed : HttpReadResult::kMalformed;
-  }
-  // "POST /v1/compute HTTP/1.1" — exactly three fields, strictly.
-  if (!ParseRequestLine(line, out)) return HttpReadResult::kMalformed;
-  if (!ReadHeaders(reader, &out->headers)) {
-    return reader->TimedOut() ? HttpReadResult::kTimeout
-                              : HttpReadResult::kMalformed;
-  }
-  const std::string* te = FindHeader(out->headers, "Transfer-Encoding");
-  if (te != nullptr) return HttpReadResult::kMalformed;  // Never sent to us.
-  size_t length = 0;
-  switch (ContentLengthOf(out->headers, &length)) {
-    case ContentLength::kAbsent:
-      return HttpReadResult::kOk;  // GETs carry no body.
-    case ContentLength::kMalformed:
-      return HttpReadResult::kMalformed;
-    case ContentLength::kOk:
-      break;
-  }
-  if (length > max_body) return HttpReadResult::kTooLarge;
-  if (!reader->ReadExact(length, &out->body)) {
-    return reader->TimedOut() ? HttpReadResult::kTimeout
-                              : HttpReadResult::kMalformed;
-  }
-  return HttpReadResult::kOk;
-}
-
 HttpReadResult ReadHttpResponse(SocketReader* reader, size_t max_body,
                                 HttpResponse* out, bool* chunked) {
   *chunked = false;
@@ -506,7 +474,7 @@ HttpParseStatus HttpRequestParser::ProcessLine() {
         return HttpParseStatus::kNeedMore;
       }
       // Blank line: the head is complete — resolve the body framing with
-      // the same strict rules as the blocking reader.
+      // the same strict rules as ReadHttpResponse.
       if (FindHeader(request_.headers, "Transfer-Encoding") != nullptr) {
         return HttpParseStatus::kMalformed;  // Requests never chunk to us.
       }

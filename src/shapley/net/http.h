@@ -12,15 +12,15 @@ namespace shapley::net {
 /// POSIX-socket + HTTP/1.1 plumbing shared by the server (net/server.h)
 /// and the client library (net/client.h). Deliberately minimal: exactly
 /// the slice of HTTP the wire protocol needs — request/status lines,
-/// headers, Content-Length and chunked bodies, keep-alive — implemented
-/// over blocking sockets with poll()-based read timeouts. No TLS, no
-/// compression, no external dependency.
+/// headers, Content-Length and chunked bodies, keep-alive. The server
+/// parses requests incrementally off its event loop (HttpRequestParser);
+/// clients read responses from blocking sockets with poll()-based read
+/// timeouts (SocketReader). No TLS, no compression, no external
+/// dependency.
 
-/// Where a response goes. Handlers write through this interface so the
-/// same handler code serves both transports: a plain blocking Socket
-/// (SocketWriter) and the event loop's per-connection bounded output queue
-/// (EventLoop's writer), which adds write-side backpressure and slow-reader
-/// disconnection behind the same call.
+/// Where a response goes. Handlers write through this interface; the event
+/// loop's implementation (ConnWriter, net/event_loop.h) puts write-side
+/// backpressure and slow-reader disconnection behind the one call.
 class ResponseWriter {
  public:
   virtual ~ResponseWriter() = default;
@@ -59,19 +59,6 @@ class Socket {
 
  private:
   int fd_ = -1;
-};
-
-/// ResponseWriter over a borrowed blocking Socket — the classic transport
-/// (client-side tests, direct handler invocation).
-class SocketWriter : public ResponseWriter {
- public:
-  explicit SocketWriter(Socket* socket) : socket_(socket) {}
-  bool SendAll(std::string_view data) override {
-    return socket_->SendAll(data);
-  }
-
- private:
-  Socket* socket_;
 };
 
 /// Connects TCP to host:port (numeric or resolvable host). Invalid socket
@@ -140,11 +127,6 @@ enum class HttpReadResult {
   kMalformed,  ///< Anything else that is not HTTP.
 };
 
-/// Reads one full request (head + Content-Length body; chunked requests are
-/// kMalformed — the protocol never sends them). `max_body` caps the body.
-HttpReadResult ReadHttpRequest(SocketReader* reader, size_t max_body,
-                               HttpRequest* out);
-
 /// Reads a status line + headers, then the body: Content-Length bodies are
 /// read fully into out->body; a chunked body is left UNREAD (the caller
 /// streams it with ReadChunk) and `*chunked` is set.
@@ -171,8 +153,8 @@ const char* ReasonPhrase(int status);
 
 /// Incremental (non-blocking) request parser for the event loop: bytes go
 /// in as they arrive off the socket, one state-machine step per call — no
-/// thread ever blocks waiting for the rest of a message. Enforces the same
-/// strict grammar as the blocking ReadHttpRequest (they share helpers):
+/// thread ever blocks waiting for the rest of a message. Enforces a strict
+/// grammar (its size and header helpers are ReadHttpResponse's too):
 /// request lines are exactly three space-separated fields, sizes must
 /// consume their full token, duplicate Content-Length headers are rejected,
 /// Transfer-Encoding requests are rejected, header count and line length

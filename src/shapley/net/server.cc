@@ -688,8 +688,8 @@ bool ServiceHandler::HandleEngines(ResponseWriter* writer, bool keep_alive) {
 bool ServiceHandler::HandleStats(ResponseWriter* writer, bool keep_alive,
                                  const ServerCounters& counters) {
   // Serialization goes through the ONE shared stats codec (obs/stats_json)
-  // — the same path the router's fleet-sum and ExecStats::ToJson use, with
-  // the key order pinned byte-stable by a test.
+  // — the same path the router's fleet-sum uses, with the key order pinned
+  // byte-stable by a test.
   Json body;
   body.Set("service", obs::ServiceStatsJson(service_->Stats()));
   body.Set("server", obs::ServerCountersJson(counters));
@@ -811,12 +811,6 @@ void HttpServer::SetUpMetrics() {
                    "Bytes queued across all per-connection output queues",
                    role)
         ->Set(static_cast<double>(s.output_queue_bytes));
-    metrics_
-        ->GetGauge("shapley_server_eventloop_using_epoll",
-                   "1 when the epoll backend multiplexes this server, 0 for "
-                   "the poll() fallback",
-                   role)
-        ->Set(s.using_epoll ? 1.0 : 0.0);
   });
 }
 
@@ -850,7 +844,6 @@ void HttpServer::Start() {
   loop_options.write_stall_timeout_ms = options_.write_stall_timeout_ms;
   loop_options.max_output_queue_bytes = options_.max_output_queue_bytes;
   loop_options.max_body_bytes = options_.max_body_bytes;
-  loop_options.force_poll = options_.force_poll;
   // The loop answers protocol-level failures from prebuilt buffers — no
   // allocation, no handler, no pool round-trip.
   {
@@ -907,9 +900,10 @@ void HttpServer::Start() {
              std::shared_ptr<ConnWriter> writer) {
         return OnRequest(conn_id, std::move(request), std::move(writer));
       });
-  running_.store(true);
   stopping_.store(false);
+  // Throws when epoll_create1 fails, leaving the server not running.
   loop_->Start(std::move(listener));
+  running_.store(true);
   loop_ptr_.store(loop_.get());
 }
 

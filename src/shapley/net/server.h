@@ -45,9 +45,6 @@ struct ServerOptions {
   /// 0 = max(8, hardware_concurrency) — enough thin waiters that modest
   /// request concurrency is never serialized on a small machine.
   size_t dispatch_threads = 0;
-  /// Use the portable poll() readiness backend even where epoll exists
-  /// (tests exercise the fallback path with this).
-  bool force_poll = false;
   /// Reported by GET /healthz ("backend" for a ShapleyService front,
   /// "router" for the shard router) so a probe can tell what it reached.
   std::string role = "backend";
@@ -232,11 +229,11 @@ class ServiceHandler : public HttpHandler {
   DebugDeck* deck_ = nullptr;
 };
 
-/// The TCP/HTTP front: an epoll (poll-fallback) event loop multiplexing
-/// the listener and every connection on ONE thread (net/event_loop.h),
-/// with requests dispatched to a small worker pool. Keep-alive,
-/// body/connection limits, write-side backpressure and the shutdown drain
-/// are the transport's job; an HttpHandler supplies the endpoints — the
+/// The TCP/HTTP front: an epoll event loop multiplexing the listener and
+/// every connection on ONE thread (net/event_loop.h), with requests
+/// dispatched to a small worker pool. Keep-alive, body/connection limits,
+/// write-side backpressure and the shutdown drain are the transport's
+/// job; an HttpHandler supplies the endpoints — the
 /// classic constructor wraps a ShapleyService in a ServiceHandler, the
 /// handler constructor hosts anything else (the shard router).
 ///
@@ -277,7 +274,8 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens and spawns the loop thread + dispatch pool. Throws
-  /// std::runtime_error when the address cannot be bound.
+  /// std::runtime_error when the address cannot be bound or epoll_create1
+  /// fails.
   void Start();
 
   /// Graceful drain (see above). Idempotent; also run by the destructor.

@@ -41,22 +41,6 @@ net::Json ServerCountersJson(const net::ServerCounters& counters) {
   return json;
 }
 
-net::Json ExecStatsJson(const ExecStats& stats) {
-  Json json;
-  json.Set("instances", Json::Number(uint64_t{stats.instances}));
-  json.Set("facts", Json::Number(uint64_t{stats.facts}));
-  json.Set("threads", Json::Number(uint64_t{stats.threads}));
-  json.Set("tasks", Json::Number(uint64_t{stats.tasks}));
-  json.Set("oracle_calls", Json::Number(uint64_t{stats.oracle_calls}));
-  json.Set("cache_hits", Json::Number(uint64_t{stats.cache_hits}));
-  json.Set("cache_misses", Json::Number(uint64_t{stats.cache_misses}));
-  json.Set("cache_bytes", Json::Number(uint64_t{stats.cache_bytes}));
-  json.Set("verdict_cache_hits",
-           Json::Number(uint64_t{stats.verdict_cache_hits}));
-  json.Set("wall_ms", Json::Number(stats.wall_ms));
-  return json;
-}
-
 bool StatsConserved(const ServiceStats& stats) {
   return StatsConservationError(stats) == 0;
 }

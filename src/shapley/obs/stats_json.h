@@ -1,19 +1,17 @@
 #ifndef SHAPLEY_OBS_STATS_JSON_H_
 #define SHAPLEY_OBS_STATS_JSON_H_
 
-#include "shapley/exec/batch_runner.h"
 #include "shapley/net/json.h"
 #include "shapley/net/server.h"
 #include "shapley/service/shapley_service.h"
 
 namespace shapley::obs {
 
-/// The ONE serialization path for every stats struct in the stack. Before
-/// this header, `/v1/stats` (backend), the router's fleet-sum stats and
-/// `ExecStats::ToJson` each hand-built their JSON — three places to drift
-/// apart. Now all of them emit through these functions, and the key order
-/// below is CANONICAL: a test asserts the rendered bytes, so reordering a
-/// field is a deliberate wire change, not an accident.
+/// The ONE serialization path for every stats struct in the stack:
+/// `/v1/stats` (backend) and the router's fleet-sum stats both emit
+/// through these functions, and the key order below is CANONICAL: a test
+/// asserts the rendered bytes, so reordering a field is a deliberate wire
+/// change, not an accident.
 
 /// Keys, in order: requests_submitted, requests_completed, requests_failed,
 /// requests_inflight, verdict_cache_hits, verdict_cache_misses,
@@ -24,10 +22,6 @@ net::Json ServiceStatsJson(const ServiceStats& stats);
 /// Keys, in order: connections_accepted, connections_rejected,
 /// connections_live, requests_served.
 net::Json ServerCountersJson(const net::ServerCounters& counters);
-
-/// Keys, in order: instances, facts, threads, tasks, oracle_calls,
-/// cache_hits, cache_misses, cache_bytes, verdict_cache_hits, wall_ms.
-net::Json ExecStatsJson(const ExecStats& stats);
 
 /// The conservation invariant every ServiceStats snapshot must satisfy at
 /// quiescence: submitted == completed + failed + inflight (each request is

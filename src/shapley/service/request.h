@@ -14,7 +14,6 @@
 #include "shapley/approx/approx.h"
 #include "shapley/arith/big_rational.h"
 #include "shapley/data/partitioned_database.h"
-#include "shapley/engines/svc.h"
 #include "shapley/engines/svc_error.h"
 #include "shapley/obs/trace.h"
 #include "shapley/query/boolean_query.h"
@@ -57,14 +56,6 @@ struct SvcRequest {
   /// verdict picks the lifted via-FGMC engine on the tractable hierarchical
   /// sjf-CQ side and falls back to guarded brute force otherwise.
   std::string engine;
-
-  /// Strongest override: a caller-owned engine instance, called as-is. The
-  /// service does not install its shared ExecContext on it — the caller
-  /// manages the instance's context and its thread-safety across requests —
-  /// and skips classification (the verdict would not route anything), so
-  /// the response's verdict reads "unclassified". This is how
-  /// BatchSvcRunner preserves its historical behavior and cost profile.
-  std::shared_ptr<SvcEngine> engine_instance;
 
   /// Opt-in to approximation: when set and no exact engine admits the
   /// instance (the #P-hard side of the dichotomy beyond the exhaustive
@@ -149,10 +140,6 @@ struct SvcResponse {
   std::optional<ApproxInfo> approx;
 
   std::optional<SvcError> error;
-  /// The engine exception behind `error`, when one was caught (null for
-  /// front-end failures: deadline, cancellation, routing). Lets synchronous
-  /// adapters rethrow exactly what the engine threw.
-  std::exception_ptr raw_exception;
   RequestStats stats;
 
   /// Populated iff the request opted in (SvcRequest::trace) and no

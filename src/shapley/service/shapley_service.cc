@@ -173,16 +173,16 @@ std::shared_ptr<SvcEngine> ShapleyService::Route(const SvcRequest& request,
                                                  SvcResponse* response) const {
   // Scan the whole registry by capability, so Register()-ing an engine
   // extends routing without touching this code. The exhaustive engines
-  // additionally honor the service-level fallback guard: beyond it they
-  // are not "an engine", they are a sweep that cannot finish. Approximate
-  // engines are exempt from that guard (their cost is the sample budget)
-  // but require the request's explicit opt-in.
+  // additionally honor the kBruteForceMaxEndogenous fallback guard: beyond
+  // it they are not "an engine", they are a sweep that cannot finish.
+  // Approximate engines are exempt from that guard (their cost is the
+  // sample budget) but require the request's explicit opt-in.
   const EngineRegistry::Entry* best = nullptr;
   for (const std::string& name : registry_.Names()) {
     const EngineRegistry::Entry* entry = registry_.Find(name);
     if (entry->caps.approximate && !request.allow_approx) continue;
     if (entry->caps.all_query_classes && !entry->caps.approximate &&
-        num_endogenous > options_.brute_force_max_facts) {
+        num_endogenous > kBruteForceMaxEndogenous) {
       continue;
     }
     if (!CapsAdmit(entry->caps, *request.query, num_endogenous, nullptr)) {
@@ -198,8 +198,7 @@ std::shared_ptr<SvcEngine> ShapleyService::Route(const SvcRequest& request,
         "no registered engine admits |Dn| = " +
         std::to_string(num_endogenous) + " for [" +
         response->verdict.query_class + "] (exhaustive fallback guard: " +
-        std::to_string(std::min(options_.brute_force_max_facts,
-                                kBruteForceMaxEndogenous)) +
+        std::to_string(kBruteForceMaxEndogenous) +
         "): " + response->verdict.justification;
     if (!request.allow_approx) {
       message +=
@@ -298,11 +297,7 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
     return fail(SvcErrorCode::kInvalidRequest, "request has no query");
   }
 
-  // A caller-owned engine instance bypasses routing, so the classifier's
-  // verdict would be dead weight computed per request — skip it (this is
-  // the BatchSvcRunner path, which must not pay costs the historical
-  // runner never paid). Every routed or registry-named request is
-  // classified and carries the verdict in its response.
+  // Every request is classified and carries the verdict in its response.
   // "route" spans classification + engine selection; Classify nests the
   // verdict-cache lookup under it as a "cache" child. Every exit from the
   // selection block closes the span — a fronting recorder outlives this
@@ -311,14 +306,7 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
   auto end_route = [&] {
     if (recorder != nullptr) recorder->End();
   };
-  if (request.engine_instance == nullptr ||
-      request.mode == SvcMode::kClassifyOnly) {
-    response.verdict = Classify(*request.query, recorder);
-  } else {
-    response.verdict.query_class = "unclassified";
-    response.verdict.justification =
-        "classification skipped: caller-supplied engine instance";
-  }
+  response.verdict = Classify(*request.query, recorder);
   if (request.mode == SvcMode::kClassifyOnly) {
     end_route();
     return finish(std::move(response));
@@ -326,9 +314,7 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
 
   const size_t n = request.db.NumEndogenous();
   std::shared_ptr<SvcEngine> engine;
-  if (request.engine_instance != nullptr) {
-    engine = request.engine_instance;
-  } else if (!request.engine.empty()) {
+  if (!request.engine.empty()) {
     const EngineRegistry::Entry* entry = registry_.Find(request.engine);
     if (entry == nullptr) {
       SvcError unknown = registry_.UnknownEngineError(request.engine);
@@ -355,20 +341,16 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
   auto run_engine = [&](const std::shared_ptr<SvcEngine>& chosen) {
     response.engine = chosen->name();
     // The recorder rides into the engine's deep paths on a per-request
-    // copy of the shared ExecContext — only for engines this service just
-    // created (a caller-owned instance's context is the caller's, and may
-    // be shared across concurrent requests).
-    if (recorder != nullptr && request.engine_instance == nullptr) {
+    // copy of the shared ExecContext.
+    if (recorder != nullptr) {
       ExecContext traced = context_;
       traced.trace = recorder;
       chosen->set_exec_context(traced);
     }
-    // Registry-created sampling engines take the request's (ε, δ, seed)
-    // contract plus its cancel token and deadline, so a long sweep stays
-    // abortable mid-run; caller-owned engine instances are called as-is
-    // (the caller configured them).
+    // Sampling engines take the request's (ε, δ, seed) contract plus its
+    // cancel token and deadline, so a long sweep stays abortable mid-run.
     auto* sampler = dynamic_cast<SamplingSvc*>(chosen.get());
-    if (sampler != nullptr && request.engine_instance == nullptr) {
+    if (sampler != nullptr) {
       sampler->set_params(request.approx);
       sampler->set_cancel(request.cancel);
       sampler->set_deadline(request.deadline);
@@ -398,21 +380,17 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
       SvcError error = e.error();
       if (error.engine.empty()) error.engine = response.engine;
       response.error = std::move(error);
-      response.raw_exception = std::current_exception();
     } catch (const std::invalid_argument& e) {
       response.error =
           SvcError{SvcErrorCode::kInvalidRequest, e.what(), response.engine};
-      response.raw_exception = std::current_exception();
     } catch (const std::exception& e) {
       response.error =
           SvcError{SvcErrorCode::kEngineFailure, e.what(), response.engine};
-      response.raw_exception = std::current_exception();
     } catch (...) {
       // The "future.get() never throws" contract must hold even for
       // throws outside the std::exception hierarchy.
       response.error = SvcError{SvcErrorCode::kEngineFailure,
                                 "non-standard exception", response.engine};
-      response.raw_exception = std::current_exception();
     }
   };
 
@@ -438,13 +416,12 @@ SvcResponse ShapleyService::Execute(const SvcRequest& request,
   if (!response.ok() &&
       response.error->code == SvcErrorCode::kCapacityExceeded &&
       request.allow_approx && request.engine.empty() &&
-      request.engine_instance == nullptr && !engine->caps().approximate) {
+      !engine->caps().approximate) {
     for (const std::string& name : registry_.Names()) {
       const EngineRegistry::Entry* entry = registry_.Find(name);
       if (!entry->caps.approximate) continue;
       if (!CapsAdmit(entry->caps, *request.query, n, nullptr)) continue;
       response.error.reset();
-      response.raw_exception = nullptr;
       response.values.clear();
       response.ranked.clear();
       run_engine(MakeConfiguredEngine(*entry));

@@ -31,14 +31,6 @@ struct ServiceOptions {
   size_t cache_max_entries = 1 << 16;
   size_t cache_max_bytes = size_t{512} << 20;
 
-  /// |Dn| guard of the brute-force fallback on the #P-hard side of the
-  /// dichotomy: larger instances fail with kCapacityExceeded instead of
-  /// starting a 2^|Dn| sweep that cannot finish — unless the request opts
-  /// into approximation (SvcRequest::allow_approx), in which case routing
-  /// falls through to the sampling engine. Clipped to
-  /// kBruteForceMaxEndogenous.
-  size_t brute_force_max_facts = kBruteForceMaxEndogenous;
-
   /// Bound of the verdict-memoization LRU: classification is a pure
   /// function of the query, so repeated-query streams skip it entirely
   /// after the first request. 0 disables memoization.
@@ -83,14 +75,12 @@ struct ServiceStats {
 /// (never a stray exception) when neither applies. The pool, the
 /// size-aware OracleCache and the registry are owned here as process-wide
 /// shared state: one service instance is the intended lifetime for a whole
-/// serving process, and `BatchSvcRunner` is a thin synchronous adapter
-/// over it.
+/// serving process, and every caller — server, router, CLI, benches —
+/// reaches the engines through it.
 ///
 /// Thread-safety: Submit/SubmitBatch/Compute may be called from any number
 /// of client threads concurrently. Engines are instantiated per request
-/// from the registry, so no engine state is shared across requests (except
-/// caller-provided engine_instance overrides, whose sharing discipline is
-/// the caller's).
+/// from the registry, so no engine state is shared across requests.
 ///
 /// Failure discipline: Execute never throws — every failure (capacity,
 /// unsupported class, deadline, cancellation, engine error) becomes

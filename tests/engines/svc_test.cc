@@ -4,6 +4,8 @@
 
 #include "shapley/data/parser.h"
 #include "shapley/engines/pqe.h"
+#include "shapley/exec/oracle_cache.h"
+#include "shapley/exec/thread_pool.h"
 #include "shapley/gen/generators.h"
 #include "shapley/query/query_parser.h"
 
@@ -86,6 +88,11 @@ TEST_F(SvcTest, ViaFgmcMatchesBruteForceAllEngines) {
   SvcViaFgmc via_brute(std::make_shared<BruteForceFgmc>());
   SvcViaFgmc via_lineage(std::make_shared<LineageFgmc>());
   SvcViaFgmc via_lifted(std::make_shared<LiftedFgmc>());
+  // AllValues with the exec runtime's shared resources installed.
+  ThreadPool pool(3);
+  OracleCache cache;
+  SvcViaFgmc via_shared(std::make_shared<BruteForceFgmc>());
+  via_shared.set_exec_context(ExecContext{&pool, &cache});
 
   for (uint64_t seed = 0; seed < 12; ++seed) {
     RandomDatabaseOptions options;
@@ -95,12 +102,33 @@ TEST_F(SvcTest, ViaFgmcMatchesBruteForceAllEngines) {
     options.seed = seed + 13;
     PartitionedDatabase db = RandomPartitionedDatabase(schema, options);
     if (db.NumEndogenous() == 0) continue;
+    std::map<Fact, BigRational> expected_all;
     for (const Fact& f : db.endogenous().facts()) {
       BigRational expected = brute_.Value(*hier, db, f);
       EXPECT_EQ(via_brute.Value(*hier, db, f), expected) << "seed " << seed;
       EXPECT_EQ(via_lineage.Value(*hier, db, f), expected) << "seed " << seed;
       EXPECT_EQ(via_lifted.Value(*hier, db, f), expected) << "seed " << seed;
+      expected_all.emplace(f, expected);
     }
+
+    // One shared full-database count plus one count per fact: 1 + |Dn|
+    // oracle calls instead of 2|Dn|, each a cache hit or a miss.
+    const size_t oracle_before = via_shared.oracle_calls();
+    const size_t hits_before = cache.hits();
+    const size_t misses_before = cache.misses();
+    EXPECT_EQ(via_shared.AllValues(*hier, db), expected_all) << "seed " << seed;
+    const size_t oracle_calls = via_shared.oracle_calls() - oracle_before;
+    EXPECT_EQ(oracle_calls, 1 + db.NumEndogenous()) << "seed " << seed;
+    EXPECT_EQ((cache.hits() - hits_before) + (cache.misses() - misses_before),
+              oracle_calls)
+        << "seed " << seed;
+
+    // The repeated instance is answered from the cache alone.
+    const size_t hits_first = cache.hits();
+    const size_t misses_first = cache.misses();
+    EXPECT_EQ(via_shared.AllValues(*hier, db), expected_all) << "seed " << seed;
+    EXPECT_EQ(cache.hits() - hits_first, oracle_calls) << "seed " << seed;
+    EXPECT_EQ(cache.misses(), misses_first) << "seed " << seed;
   }
 }
 

@@ -207,6 +207,16 @@ TEST(CodecTest, ResponsesRoundTripBitIdentically) {
       EXPECT_EQ(decoded.approx->fact_samples, response.approx->fact_samples);
       EXPECT_EQ(decoded.approx->fact_half_widths,
                 response.approx->fact_half_widths);
+      // memo_hits is cache telemetry: it rides in "stats", never among the
+      // certified "approx" fields.
+      EXPECT_EQ(decoded.approx->memo_hits, response.approx->memo_hits);
+      EXPECT_EQ(parsed->Find("approx")->Find("memo_hits"), nullptr);
+      const Json* memo_hits = parsed->Find("stats")->Find("memo_hits");
+      ASSERT_NE(memo_hits, nullptr);
+      EXPECT_EQ(memo_hits->IfUint64().value_or(~uint64_t{0}),
+                uint64_t{response.approx->memo_hits});
+    } else {
+      EXPECT_EQ(parsed->Find("stats")->Find("memo_hits"), nullptr);
     }
   }
 }

@@ -7,14 +7,13 @@
 //      (Content-Length: 12abc is NOT 12), duplicate Content-Length
 //      rejection (request-smuggling class), Transfer-Encoding rejection,
 //      split/byte-at-a-time feeding, pipelined leftovers;
-//  (b) the blocking reader path (SocketReader + ReadHttpRequest /
-//      ReadHttpResponse / ReadChunk) over a socketpair — the client-side
-//      and legacy paths share the same strict helpers, including chunk
-//      extensions and garbage chunk-size lines;
+//  (b) the blocking client-side reader path (SocketReader +
+//      ReadHttpResponse / ReadChunk) over a socketpair — it shares the
+//      parser's strict helpers, including chunk extensions and garbage
+//      chunk-size lines;
 //  (c) wire-level: raw bytes against a REAL event-loop server must come
 //      back 400, and two keep-alive requests in ONE TCP segment must both
-//      be served off one connection (pipelining through the loop),
-//      including on the poll() fallback backend.
+//      be served off one connection (pipelining through the loop).
 
 #include "shapley/net/http.h"
 
@@ -175,23 +174,6 @@ struct WirePipe {
   net::Socket read_end;
 };
 
-TEST(HttpParseTest, BlockingRequestPathRejectsTheSameWires) {
-  const std::vector<std::string> bad = {
-      "GET /a b HTTP/1.1\r\nHost: x\r\n\r\n",
-      "POST /x HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n",
-      "POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n"
-      "hello",
-  };
-  for (const std::string& wire : bad) {
-    WirePipe pipe(wire);
-    net::SocketReader reader(pipe.read_end.fd(), 1000);
-    net::HttpRequest request;
-    EXPECT_EQ(net::ReadHttpRequest(&reader, 1 << 20, &request),
-              net::HttpReadResult::kMalformed)
-        << wire;
-  }
-}
-
 TEST(HttpParseTest, ResponsePathRejectsGarbageAndDuplicateContentLength) {
   {
     WirePipe pipe("HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n");
@@ -312,31 +294,6 @@ TEST(HttpParseTest, KeepAlivePipeliningServesBothRequestsFromOneSegment) {
   // One connection, two requests — pipelining, not reconnection.
   EXPECT_EQ(stack.server.connections_accepted(), 1u);
   EXPECT_EQ(stack.server.requests_served(), 2u);
-}
-
-TEST(HttpParseTest, PollFallbackBackendServesTheSamePipeline) {
-  net::ServerOptions options;
-  options.force_poll = true;
-  Stack stack(options);
-  std::string error;
-  net::Socket socket =
-      net::ConnectTcp("127.0.0.1", stack.server.port(), &error);
-  ASSERT_TRUE(socket.valid()) << error;
-  const std::string segment =
-      "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-      "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
-  ASSERT_TRUE(socket.SendAll(segment));
-  net::SocketReader reader(socket.fd(), 5000);
-  for (int i = 0; i < 2; ++i) {
-    net::HttpResponse response;
-    bool chunked = false;
-    ASSERT_EQ(net::ReadHttpResponse(&reader, 1 << 20, &response, &chunked),
-              net::HttpReadResult::kOk)
-        << "response " << i;
-    EXPECT_EQ(response.status, 200);
-  }
-  // Malformed wire through the fallback too.
-  EXPECT_EQ(RawExchange(stack, "ZAP!\r\n\r\n").status, 400);
 }
 
 TEST(HttpParseTest, ManyConcurrentKeepAliveConnectionsOnOneLoopThread) {

@@ -10,11 +10,15 @@
 //      being computed are streamed out, never dropped;
 //  (c) transport-level behavior: keep-alive connection reuse, unknown
 //      endpoints, malformed HTTP, oversized bodies, /v1/engines and
-//      /v1/stats.
+//      /v1/stats, and Start() throwing when the event loop cannot be
+//      created.
 
 #include "shapley/net/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <string>
@@ -315,6 +319,42 @@ TEST(ServerTest, HealthzIsAnsweredByTheTransportItself) {
   ASSERT_EQ(net::ReadHttpResponse(&reader, 1 << 20, &response, &chunked),
             net::HttpReadResult::kOk);
   EXPECT_EQ(response.status, 405);
+}
+
+// The event loop has one readiness backend: when its epoll instance cannot
+// be created, Start() throws, as it does when the address cannot be bound.
+TEST(ServerTest, StartThrowsWhenEpollCannotBeCreated) {
+  ShapleyService service(ServiceOptions{.threads = 1});
+  HttpServer server(&service, ServerOptions{});
+  // A full Start/Stop first: the restart below must work, and every path
+  // Start takes is then warm (UBSan's vptr check opens a pipe for a type
+  // it has not seen yet, which the tight limit below would refuse).
+  server.Start();
+  server.Stop();
+  // Leave exactly one descriptor number under this process's limit: the
+  // listener takes it and epoll_create1 fails with EMFILE.
+  const int next_fd = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(next_fd, 0);
+  ::close(next_fd);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(next_fd) + 1;
+  // Restores the limit when the try block unwinds, before the handler.
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  };
+  std::string message;
+  try {
+    RestoreLimit restore{saved};
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+    server.Start();
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("epoll_create1"), std::string::npos) << message;
+  EXPECT_FALSE(server.running());
 }
 
 TEST(ServerTest, TransportEdgesAnswerStructurally) {

@@ -11,9 +11,8 @@
 //  (c) misuse: kind mismatch and bucket-layout mismatch throw
 //      std::logic_error, invalid metric/label names std::invalid_argument;
 //  (d) the ONE stats serialization path: ServiceStatsJson /
-//      ServerCountersJson / ExecStatsJson render BYTE-STABLE key orders
-//      (asserted against literal JSON), and ExecStats::ToJson is that very
-//      codec;
+//      ServerCountersJson render BYTE-STABLE key orders (asserted against
+//      literal JSON);
 //  (e) the conservation invariant submitted == completed + failed +
 //      inflight, hammered through a live ShapleyService from many client
 //      threads and asserted after the drain.
@@ -274,27 +273,6 @@ TEST(StatsJson, ServerCountersByteStableOrder) {
   EXPECT_EQ(ServerCountersJson(counters).Dump(),
             "{\"connections_accepted\":4,\"connections_rejected\":1,"
             "\"connections_live\":2,\"requests_served\":9}");
-}
-
-TEST(StatsJson, ExecStatsByteStableOrderAndToJsonIsTheCodec) {
-  ExecStats stats;
-  stats.instances = 2;
-  stats.facts = 12;
-  stats.threads = 4;
-  stats.tasks = 24;
-  stats.oracle_calls = 100;
-  stats.cache_hits = 60;
-  stats.cache_misses = 40;
-  stats.cache_bytes = 2048;
-  stats.verdict_cache_hits = 1;
-  stats.wall_ms = 1.5;
-  EXPECT_EQ(ExecStatsJson(stats).Dump(),
-            "{\"instances\":2,\"facts\":12,\"threads\":4,\"tasks\":24,"
-            "\"oracle_calls\":100,\"cache_hits\":60,\"cache_misses\":40,"
-            "\"cache_bytes\":2048,\"verdict_cache_hits\":1,"
-            "\"wall_ms\":1.5}");
-  // ExecStats::ToJson IS the shared codec — not a parallel serializer.
-  EXPECT_EQ(stats.ToJson(), ExecStatsJson(stats).Dump());
 }
 
 // ---- Conservation invariant, hammered through a live service. ----

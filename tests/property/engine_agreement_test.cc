@@ -9,7 +9,6 @@
 #include "shapley/engines/fgmc.h"
 #include "shapley/engines/pqe.h"
 #include "shapley/engines/svc.h"
-#include "shapley/exec/batch_runner.h"
 #include "shapley/exec/oracle_cache.h"
 #include "shapley/exec/thread_pool.h"
 #include "shapley/gen/generators.h"

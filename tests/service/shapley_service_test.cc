@@ -45,52 +45,68 @@ PartitionedDatabase WideDb(const std::shared_ptr<Schema>& schema, size_t n) {
 // The dichotomy as routing policy: the tractable hierarchical sjf-CQ goes
 // to the lifted polynomial engine, the #P-hard non-hierarchical one falls
 // back to guarded brute force — and both answers match the serial engines
-// bit for bit.
+// bit for bit, serial or parallel, with or without the shared cache.
 TEST(ShapleyServiceTest, RoutesByDichotomyAndMatchesSerialEngines) {
   auto schema = Schema::Create();
   QueryPtr easy = ParseQuery(schema, "R(x), S(x,y)");
   QueryPtr hard = ParseQuery(schema, "R(x), S(x,y), T(y)");
   PartitionedDatabase db = RandomDb(schema, 7);
-
-  ShapleyService service(ServiceOptions{.threads = 2});
-
-  SvcRequest easy_request;
-  easy_request.query = easy;
-  easy_request.db = db;
-  SvcResponse easy_response = service.Submit(easy_request).get();
-  ASSERT_TRUE(easy_response.ok()) << easy_response.error->ToString();
-  EXPECT_EQ(easy_response.engine, "via-fgmc(lifted-safe-plan)");
-  EXPECT_TRUE(easy_response.routed_by_classifier);
-  EXPECT_EQ(easy_response.verdict.tractability, Tractability::kFP);
-  EXPECT_EQ(easy_response.verdict.query_class, "sjf-CQ");
   SvcViaFgmc serial_lifted(std::make_shared<LiftedFgmc>());
-  EXPECT_EQ(easy_response.values, serial_lifted.AllValues(*easy, db));
-
-  SvcRequest hard_request;
-  hard_request.query = hard;
-  hard_request.db = db;
-  SvcResponse hard_response = service.Submit(hard_request).get();
-  ASSERT_TRUE(hard_response.ok()) << hard_response.error->ToString();
-  EXPECT_EQ(hard_response.engine, "brute-force");
-  EXPECT_TRUE(hard_response.routed_by_classifier);
-  EXPECT_EQ(hard_response.verdict.tractability, Tractability::kSharpPHard);
   BruteForceSvc serial_brute;
-  EXPECT_EQ(hard_response.values, serial_brute.AllValues(*hard, db));
+
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    for (bool use_cache : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " cache=" + std::to_string(use_cache));
+      ShapleyService service(
+          ServiceOptions{.threads = threads, .use_cache = use_cache});
+      EXPECT_EQ(service.Stats().pool_threads, threads);
+      EXPECT_EQ(service.cache() != nullptr, use_cache);
+
+      SvcRequest easy_request;
+      easy_request.query = easy;
+      easy_request.db = db;
+      SvcResponse easy_response = service.Submit(easy_request).get();
+      ASSERT_TRUE(easy_response.ok()) << easy_response.error->ToString();
+      EXPECT_EQ(easy_response.engine, "via-fgmc(lifted-safe-plan)");
+      EXPECT_TRUE(easy_response.routed_by_classifier);
+      EXPECT_EQ(easy_response.verdict.tractability, Tractability::kFP);
+      EXPECT_EQ(easy_response.verdict.query_class, "sjf-CQ");
+      EXPECT_EQ(easy_response.values, serial_lifted.AllValues(*easy, db));
+
+      SvcRequest hard_request;
+      hard_request.query = hard;
+      hard_request.db = db;
+      SvcResponse hard_response = service.Submit(hard_request).get();
+      ASSERT_TRUE(hard_response.ok()) << hard_response.error->ToString();
+      EXPECT_EQ(hard_response.engine, "brute-force");
+      EXPECT_TRUE(hard_response.routed_by_classifier);
+      EXPECT_EQ(hard_response.verdict.tractability,
+                Tractability::kSharpPHard);
+      EXPECT_EQ(hard_response.values, serial_brute.AllValues(*hard, db));
+    }
+  }
 }
 
 // The acceptance bar of the serving layer: a 64-request mixed-class batch
 // submitted through the async front matches the serial per-engine
-// AllValues bit for bit, with the verdict attached to every response.
+// AllValues bit for bit, and the permutation oracle (Equation 1 read
+// literally), with the verdict attached to every response. Three classes
+// take turns: a hierarchical sjf-CQ (lifted), a non-hierarchical sjf-CQ and
+// a UCQ (both guarded brute force).
 TEST(ShapleyServiceTest, MixedClassBatch64IsBitIdenticalToSerialEngines) {
   auto schema = Schema::Create();
   QueryPtr easy = ParseQuery(schema, "R(x), S(x,y)");
   QueryPtr hard = ParseQuery(schema, "R(x), S(x,y), T(y)");
+  // The UCQ uses R at arity 2, so it gets a schema of its own.
+  auto ucq_schema = Schema::Create();
+  QueryPtr ucq = ParseQuery(ucq_schema, "R(x,y) | R(x,x)");
 
   std::vector<SvcRequest> requests;
   for (size_t k = 0; k < 64; ++k) {
     SvcRequest request;
-    request.query = (k % 2 == 0) ? easy : hard;
-    request.db = RandomDb(schema, 100 + 13 * k);
+    request.query = k % 3 == 0 ? easy : k % 3 == 1 ? hard : ucq;
+    request.db = RandomDb(k % 3 == 2 ? ucq_schema : schema, 100 + 13 * k);
     requests.push_back(std::move(request));
   }
   // Keep copies: SubmitBatch consumes the request objects.
@@ -103,18 +119,26 @@ TEST(ShapleyServiceTest, MixedClassBatch64IsBitIdenticalToSerialEngines) {
 
   SvcViaFgmc serial_lifted(std::make_shared<LiftedFgmc>());
   BruteForceSvc serial_brute;
+  PermutationSvc permutations;
   for (size_t k = 0; k < futures.size(); ++k) {
     SvcResponse response = futures[k].get();
     ASSERT_TRUE(response.ok()) << "request " << k << ": "
                                << response.error->ToString();
     EXPECT_NE(response.verdict.query_class, "");
-    SvcEngine& serial = (k % 2 == 0)
+    SvcEngine& serial = (k % 3 == 0)
                             ? static_cast<SvcEngine&>(serial_lifted)
                             : static_cast<SvcEngine&>(serial_brute);
+    const SvcRequest& ref = reference[k];
     EXPECT_EQ(response.engine, serial.name()) << "request " << k;
-    EXPECT_EQ(response.values,
-              serial.AllValues(*reference[k].query, reference[k].db))
+    EXPECT_EQ(response.values, serial.AllValues(*ref.query, ref.db))
         << "request " << k;
+    ASSERT_LE(ref.db.NumEndogenous(), 9u);
+    ASSERT_EQ(response.values.size(), ref.db.NumEndogenous());
+    for (const Fact& f : ref.db.endogenous().facts()) {
+      EXPECT_EQ(response.values.at(f),
+                permutations.Value(*ref.query, ref.db, f))
+          << "request " << k;
+    }
   }
   EXPECT_EQ(service.requests_completed(), 64u);
   EXPECT_EQ(service.requests_failed(), 0u);
@@ -320,6 +344,12 @@ TEST(ShapleyServiceTest, MalformedRequestsAreStructuredErrors) {
   SvcResponse empty_response = service.Submit(empty_dn).get();
   ASSERT_FALSE(empty_response.ok());
   EXPECT_EQ(empty_response.error->code, SvcErrorCode::kInvalidRequest);
+
+  // AllValues over the same empty Dn is well-formed: no players, no values.
+  empty_dn.mode = SvcMode::kAllValues;
+  SvcResponse empty_all = service.Submit(empty_dn).get();
+  ASSERT_TRUE(empty_all.ok()) << empty_all.error->ToString();
+  EXPECT_TRUE(empty_all.values.empty());
 }
 
 TEST(ShapleyServiceTest, ShutdownResolvesNewRequestsAsCancelled) {
