@@ -49,6 +49,22 @@ echo "== obs tests (guard: registry units, /metrics scrapes, record/replay, trac
 "$build_dir/obs_trace_test" --gtest_brief=1
 "$build_dir/obs_cluster_trace_test" --gtest_brief=1
 
+echo "== tsan (thread sanitizer: pool, service, event loop, completions, router) =="
+# A second build dir compiled with -fsanitize=thread, tests only: these six
+# cover the thread pool, the service's submit/completion paths, the event
+# loop with completions writing from pool threads, and the router's
+# forwarding pool. Any report fails the run (TSan exits 66 on a report).
+tsan_dir="${build_dir}-tsan"
+tsan_tests=(exec_thread_pool_test service_shapley_service_test
+            service_service_concurrency_test net_server_test
+            net_http_parse_test cluster_router_test)
+cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DSHAPLEY_BUILD_BENCHES=OFF -DSHAPLEY_BUILD_EXAMPLES=OFF
+cmake --build "$tsan_dir" -j "$jobs" --target "${tsan_tests[@]}"
+for tsan_test in "${tsan_tests[@]}"; do
+  TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/$tsan_test" --gtest_brief=1
+done
+
 echo "== net smoke (serve on an ephemeral port, call over a real socket) =="
 # End-to-end through the CLI: start the server, send one exact and one
 # approximate request through the client library, check the values are

@@ -1,5 +1,6 @@
 #include "shapley/cluster/router.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -52,13 +53,27 @@ std::string RetagNdjsonLine(const std::string& line, uint64_t new_id) {
 }
 
 /// The HttpHandler behind the router's HttpServer. One instance, shared by
-/// every connection thread; all state lives in the ShardRouter.
+/// every forwarding task; all state lives in the ShardRouter.
 class RouterHandler : public net::HttpHandler {
  public:
   explicit RouterHandler(ShardRouter* router) : router_(router) {}
 
-  bool Handle(net::ResponseWriter* writer, const net::HttpRequest& request,
-              bool keep_alive, const net::ServerCounters& counters) override {
+  /// Forwarding blocks on backend sockets, so every request becomes one
+  /// task on the router's pool.
+  void Handle(std::shared_ptr<net::ResponseWriter> writer,
+              net::HttpRequest request, bool keep_alive,
+              const net::ServerCounters& counters,
+              net::HandlerDone done) override {
+    router_->pool_->Submit([this, writer = std::move(writer),
+                            request = std::move(request), keep_alive,
+                            counters, done = std::move(done)] {
+      done(Serve(writer.get(), request, keep_alive, counters));
+    });
+  }
+
+ private:
+  bool Serve(net::ResponseWriter* writer, const net::HttpRequest& request,
+             bool keep_alive, const net::ServerCounters& counters) {
     if (request.target == "/v1/compute") {
       if (request.method != "POST") {
         return MethodNotAllowed(writer, "use POST on /v1/compute",
@@ -120,7 +135,6 @@ class RouterHandler : public net::HttpHandler {
         keep_alive);
   }
 
- private:
   bool MethodNotAllowed(net::ResponseWriter* writer, const std::string& message,
                         bool keep_alive) {
     return net::WriteJsonResponse(
@@ -264,9 +278,7 @@ class RouterHandler : public net::HttpHandler {
     const std::string trace_id =
         recorder != nullptr ? recorder->context().TraceIdHex() : "";
     std::vector<size_t> order = HealthyRank(key);
-    const size_t tries =
-        router_->options_.retry_failover ? std::min<size_t>(order.size(), 2)
-                                         : std::min<size_t>(order.size(), 1);
+    const size_t tries = std::min<size_t>(order.size(), 2);
     for (size_t attempt = 0; attempt < tries; ++attempt) {
       BackendChannel* channel = router_->backends_[order[attempt]].get();
       channel->CountRouted(1);
@@ -537,7 +549,7 @@ class RouterHandler : public net::HttpHandler {
                 recorders[id]->End();
               }
             }
-            if (router_->options_.retry_failover && depth == 0) {
+            if (depth == 0) {
               // Re-rank each survivor against CURRENT health; several may
               // share a fallback, so regroup before re-sending.
               std::map<size_t, std::vector<size_t>> regrouped;
@@ -780,6 +792,8 @@ ShardRouter::ShardRouter(const std::vector<std::string>& backend_specs,
   // empty — see RouterHandler::HandleHot), sized by the same server
   // options a backend would use.
   deck_ = std::make_unique<net::DebugDeck>(options_.server);
+  pool_ = std::make_unique<ThreadPool>(std::max<size_t>(
+      8, static_cast<size_t>(std::thread::hardware_concurrency())));
   handler_ = std::make_unique<RouterHandler>(this);
 
   // The router owns its registry and hands it to its HttpServer (Start()),

@@ -10,6 +10,7 @@
 
 #include "shapley/cluster/backend.h"
 #include "shapley/cluster/shard_map.h"
+#include "shapley/exec/thread_pool.h"
 #include "shapley/net/client.h"
 #include "shapley/net/server.h"
 #include "shapley/obs/metrics.h"
@@ -29,9 +30,6 @@ struct RouterOptions {
   /// (health then changes only through observed failures — a backend
   /// marked down stays down).
   int health_poll_ms = 250;
-  /// Retry a transport-failed request ONCE on the key's next-ranked
-  /// healthy shard before giving up with kUpstreamUnavailable.
-  bool retry_failover = true;
 };
 
 /// Re-tags one ndjson batch line with a new "id", preserving every other
@@ -70,12 +68,17 @@ std::string RetagNdjsonLine(const std::string& line, uint64_t new_id);
 ///                     ONE fleet-wide hot list — the router records no
 ///                     sketch of its own, so fleet counts are never doubled
 ///
-/// Failover: a transport failure marks the backend unhealthy and (with
-/// retry_failover) re-sends the affected requests ONCE to the key's
-/// next-ranked healthy shard — for a batch, only the requests whose lines
-/// had not yet streamed. When no backend can serve a request, it gets a
-/// structured kUpstreamUnavailable error (HTTP 503) — never a dropped id.
-/// A background poller probes /healthz so a recovered backend rejoins.
+/// Failover: a transport failure marks the backend unhealthy and re-sends
+/// the affected requests ONCE to the key's next-ranked healthy shard — for
+/// a batch, only the requests whose lines had not yet streamed. When no
+/// backend can serve a request, it gets a structured kUpstreamUnavailable
+/// error (HTTP 503) — never a dropped id. A background poller probes
+/// /healthz so a recovered backend rejoins.
+///
+/// Execution: forwarding blocks on backend sockets, so every request the
+/// router's HttpServer hands over runs as one task on a forwarding pool the
+/// router owns (max(8, hardware threads) workers); a batch additionally
+/// streams each shard's sub-batch on a thread of its own.
 ///
 /// Tracing: a traced request ("trace" opted in) yields ONE cluster-wide
 /// span tree — the router roots it at "router", opens a "hop" span per
@@ -134,6 +137,8 @@ class ShardRouter {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<net::DebugDeck> deck_;
   std::vector<std::unique_ptr<BackendChannel>> backends_;
+  /// Where forwarding runs; outlives server_, whose drain waits on it.
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<net::HttpHandler> handler_;
   std::unique_ptr<net::HttpServer> server_;
   std::thread poller_;

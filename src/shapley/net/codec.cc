@@ -350,7 +350,8 @@ Json EncodeRequest(const SvcRequest& request) {
   return json;
 }
 
-std::optional<SvcError> DecodeRequest(const Json& json, DecodedRequest* out) {
+std::optional<SvcError> DecodeRequest(const Json& json, DecodedRequest* out,
+                                      Clock::time_point arrival) {
   if (auto err = RejectUnknownFields(
           json,
           {"query", "database", "mode", "top_k", "engine", "allow_approx",
@@ -491,8 +492,7 @@ std::optional<SvcError> DecodeRequest(const Json& json, DecodedRequest* out) {
       return Invalid("request.timeout_ms: expected an unsigned integer");
     }
     // Re-anchored here: the wire carries a budget, not an absolute point.
-    decoded.request.deadline =
-        Clock::now() + std::chrono::milliseconds(*ms);
+    decoded.request.deadline = arrival + std::chrono::milliseconds(*ms);
   }
 
   *out = std::move(decoded);

@@ -1,6 +1,7 @@
 #ifndef SHAPLEY_NET_CODEC_H_
 #define SHAPLEY_NET_CODEC_H_
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,8 +45,9 @@ namespace shapley::net {
 /// u–z naming convention and always re-parses to the same query.
 /// Deadlines cross the wire as a RELATIVE timeout_ms (an absolute
 /// steady_clock point is meaningless in another process); the decoder
-/// re-anchors it at decode time. Cancel tokens and trace recorders are
-/// process-local by nature and never serialize.
+/// re-anchors it at the request's arrival, so time a served request spent
+/// waiting for a pool worker counts against its budget. Cancel tokens and
+/// trace recorders are process-local by nature and never serialize.
 ///
 /// Response wire shape (values as exact "p/q" strings — BigRational
 /// round-trips bit-identically; "approx_value" is a display convenience):
@@ -124,7 +126,10 @@ struct DecodedRequest {
 /// fields, unparsable query/fact text, bad mode/strategy names) returns a
 /// structured kInvalidRequest instead of throwing — the server maps it
 /// straight to a 400 response. `out` is valid only on nullopt.
-std::optional<SvcError> DecodeRequest(const Json& json, DecodedRequest* out);
+std::optional<SvcError> DecodeRequest(
+    const Json& json, DecodedRequest* out,
+    std::chrono::steady_clock::time_point arrival =
+        std::chrono::steady_clock::now());
 
 /// Encodes a response; `schema` renders the facts.
 Json EncodeResponse(const SvcResponse& response, const Schema& schema);

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -34,7 +33,8 @@ class Poller {
     uint64_t tag = 0;
     bool readable = false;
     bool writable = false;
-    bool hangup = false;
+    bool hangup = false;  ///< The peer stopped sending (or worse).
+    bool broken = false;  ///< Nothing can pass either way any more.
   };
 
   Poller() : epfd_(::epoll_create1(0)) {
@@ -76,6 +76,7 @@ class Poller {
       event.writable = (events[i].events & EPOLLOUT) != 0;
       event.hangup =
           (events[i].events & (EPOLLHUP | EPOLLRDHUP | EPOLLERR)) != 0;
+      event.broken = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
       out->push_back(event);
     }
     return true;
@@ -84,7 +85,9 @@ class Poller {
  private:
   static epoll_event Event_(uint64_t tag, bool read, bool write) {
     epoll_event ev{};
-    ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u) | EPOLLRDHUP;
+    // A peer's half-close matters only while reading: watched while the
+    // request is dispatched, it would fire on every wait until completion.
+    ev.events = (read ? EPOLLIN | EPOLLRDHUP : 0u) | (write ? EPOLLOUT : 0u);
     ev.data.u64 = tag;
     return ev;
   }
@@ -103,54 +106,18 @@ constexpr int kWaitMs = 200;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ConnWriter — the worker-side response path.
+// ConnWriter — the completion-side response path.
 // ---------------------------------------------------------------------------
 
 bool ConnWriter::SendAll(std::string_view data) {
-  internal::ConnShared& shared = *shared_;
-  std::unique_lock<std::mutex> lock(shared.mutex);
-  size_t off = 0;
-  while (off < data.size()) {
-    if (shared.closed) return false;
-    if (shared.pending.size() == shared.pending_off) {
-      // Queue empty: write straight to the socket while the peer keeps up
-      // — the common case costs no loop round-trip at all.
-      const ssize_t n = ::send(shared.fd, data.data() + off,
-                               data.size() - off, MSG_NOSIGNAL);
-      if (n > 0) {
-        off += static_cast<size_t>(n);
-        shared.last_write_progress = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-        // Peer gone: the loop reaps the connection when the request
-        // completes; this response is abandoned.
-        shared.closed = true;
-        return false;
-      }
-      shared.loop->deferred_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const size_t queued = shared.pending.size() - shared.pending_off;
-    if (queued >= shared.cap) {
-      // BOUNDED output queue: the producer blocks until the loop drains
-      // below the cap (or the slow reader is disconnected) — a stalled
-      // peer can pin at most `cap` bytes of this process, never the whole
-      // response stream.
-      shared.drained.wait(lock);
-      continue;
-    }
-    const size_t take = std::min(shared.cap - queued, data.size() - off);
-    if (queued == 0) {
-      shared.last_write_progress = std::chrono::steady_clock::now();
-    }
-    shared.pending.append(data.data() + off, take);
-    off += take;
-    shared.loop->output_queue_bytes_.fetch_add(take,
-                                               std::memory_order_relaxed);
-    shared.loop->RequestFlush(shared.id);
+  EventLoop* loop = shared_->loop;
+  const EventLoop::WriteResult result = loop->Write(*shared_, data);
+  // Queued bytes need the loop to watch writability; a cut connection needs
+  // it to stop polling the shut socket.
+  if (result != EventLoop::WriteResult::kSent) {
+    loop->Post(shared_->id, /*complete=*/false, /*keep_open=*/true);
   }
-  return true;
+  return result != EventLoop::WriteResult::kClosed;
 }
 
 // ---------------------------------------------------------------------------
@@ -170,8 +137,11 @@ void EventLoop::Start(Socket listener) {
   internal::SetNonBlocking(listener_.fd());
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
+    const int error = errno;
     listener_.Close();
-    return;
+    poller_.reset();
+    throw std::runtime_error(std::string("EventLoop: pipe: ") +
+                             std::strerror(error));
   }
   wake_read_fd_ = pipe_fds[0];
   wake_write_fd_ = pipe_fds[1];
@@ -190,6 +160,9 @@ void EventLoop::Stop() {
   stopping_.store(true);
   Wake();
   if (thread_.joinable()) thread_.join();
+  // The last completion may still be inside Wake(): the pipe, and this
+  // object, must outlive it.
+  while (waking_.load(std::memory_order_acquire) > 0) std::this_thread::yield();
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
   wake_read_fd_ = wake_write_fd_ = -1;
@@ -207,22 +180,20 @@ void EventLoop::Wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
-void EventLoop::RequestFlush(uint64_t conn_id) {
+void EventLoop::Post(uint64_t conn_id, bool complete, bool keep_open) {
   {
     std::lock_guard<std::mutex> lock(commands_mutex_);
-    commands_.push_back(
-        Command{Command::Kind::kFlush, conn_id, /*keep_open=*/true});
+    commands_.push_back(Command{conn_id, complete, keep_open});
+    waking_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Outside the lock: on one CPU the woken loop would otherwise preempt
+  // this thread only to block on the mutex.
   Wake();
+  waking_.fetch_sub(1, std::memory_order_release);
 }
 
 void EventLoop::CompleteDispatch(uint64_t conn_id, bool keep_open) {
-  {
-    std::lock_guard<std::mutex> lock(commands_mutex_);
-    commands_.push_back(
-        Command{Command::Kind::kComplete, conn_id, keep_open});
-  }
-  Wake();
+  Post(conn_id, /*complete=*/true, keep_open);
 }
 
 EventLoopStats EventLoop::stats() const {
@@ -239,8 +210,7 @@ EventLoopStats EventLoop::stats() const {
       slow_reader_disconnects_.load(std::memory_order_relaxed);
   stats.read_timeouts = read_timeouts_.load(std::memory_order_relaxed);
   stats.connections_live = connections_live_.load(std::memory_order_relaxed);
-  stats.dispatch_inflight =
-      dispatch_inflight_stat_.load(std::memory_order_relaxed);
+  stats.dispatch_inflight = dispatch_inflight_.load(std::memory_order_relaxed);
   stats.output_queue_bytes =
       output_queue_bytes_.load(std::memory_order_relaxed);
   return stats;
@@ -261,29 +231,17 @@ void EventLoop::Run() {
       const bool aborting = aborting_.load();
       std::vector<uint64_t> cut;
       for (auto& [id, conn] : conns_) {
-        if (aborting) {
-          // Crash simulation: fail the write side too, so a response being
+        if (conn->state == ConnState::kDispatched) {
+          // Dispatched connections keep their entry until the completion
+          // arrives (the bookkeeping must survive). Under abort — a crash
+          // simulation — their write side fails too, so a response being
           // streamed dies mid-flight from the client's point of view.
-          std::lock_guard<std::mutex> lock(conn->shared->mutex);
-          conn->shared->closed = true;
-          if (conn->shared->fd >= 0) {
-            ::shutdown(conn->shared->fd, SHUT_RDWR);
-          }
-          conn->shared->drained.notify_all();
-        }
-        if (conn->state == ConnState::kReading || aborting) {
+          if (aborting) Sever(conn.get());
+        } else if (conn->state == ConnState::kReading || aborting) {
           cut.push_back(id);
         }
       }
-      for (uint64_t id : cut) {
-        auto it = conns_.find(id);
-        // Dispatched connections keep their entry until the worker
-        // completes (the bookkeeping must survive), even under abort.
-        if (it != conns_.end() &&
-            it->second->state != ConnState::kDispatched) {
-          CloseConn(id);
-        }
-      }
+      for (uint64_t id : cut) CloseConn(id);
     }
     if (stop_applied && ShouldExit()) break;
 
@@ -314,6 +272,8 @@ void EventLoop::Run() {
       }
       if (event.hangup && conn->state == ConnState::kReading) {
         CloseConn(event.tag);
+      } else if (event.broken && conn->state == ConnState::kDispatched) {
+        Sever(conn);  // No response can reach the peer; stop polling it.
       }
     }
     SweepTimeouts();
@@ -341,10 +301,8 @@ void EventLoop::HandleCommands() {
   }
   for (const Command& command : commands) {
     auto it = conns_.find(command.conn_id);
-    if (command.kind == Command::Kind::kComplete) {
-      if (dispatch_inflight_ > 0) --dispatch_inflight_;
-      dispatch_inflight_stat_.store(dispatch_inflight_,
-                                    std::memory_order_relaxed);
+    if (command.complete) {
+      dispatch_inflight_.fetch_sub(1, std::memory_order_relaxed);
       if (it == conns_.end()) continue;  // Closed under the worker.
       Conn* conn = it->second.get();
       bool peer_gone;
@@ -414,6 +372,7 @@ void EventLoop::AcceptReady() {
 }
 
 void EventLoop::UpdateInterest(Conn* conn, bool read, bool write) {
+  if (!conn->polled) return;
   if (conn->want_read == read && conn->want_write == write) return;
   conn->want_read = read;
   conn->want_write = write;
@@ -487,9 +446,7 @@ void EventLoop::DrainParsed(Conn* conn, bool from_completion) {
     if (conns_.find(id) == conns_.end()) return;  // Inline send may close.
     if (disposition == Disposition::kDispatched) {
       conn->state = ConnState::kDispatched;
-      ++dispatch_inflight_;
-      dispatch_inflight_stat_.store(dispatch_inflight_,
-                                    std::memory_order_relaxed);
+      dispatch_inflight_.fetch_add(1, std::memory_order_relaxed);
       dispatches_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
@@ -520,58 +477,69 @@ void EventLoop::DrainParsed(Conn* conn, bool from_completion) {
   }
 }
 
+EventLoop::WriteResult EventLoop::Write(internal::ConnShared& shared,
+                                        std::string_view data) {
+  std::lock_guard<std::mutex> lock(shared.mutex);
+  if (shared.closed) return WriteResult::kClosed;
+  size_t off = 0;
+  if (shared.pending.size() == shared.pending_off) {
+    // Queue empty: straight to the socket while the peer keeps up — the
+    // common case costs no loop round-trip at all.
+    while (off < data.size()) {
+      const ssize_t n = ::send(shared.fd, data.data() + off,
+                               data.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off += static_cast<size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      Cut(shared);  // Peer gone: this response is abandoned.
+      return WriteResult::kClosed;
+    }
+    shared.last_write_progress = std::chrono::steady_clock::now();
+    if (off == data.size()) return WriteResult::kSent;
+    deferred_writes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  const size_t queued = shared.pending.size() - shared.pending_off;
+  const size_t rest = data.size() - off;
+  if (queued + rest > shared.cap) {
+    // BOUNDED output queue, and no thread waits for it to drain: a peer
+    // that cannot absorb the response within the cap is a slow reader, and
+    // it can pin at most `cap` bytes of this process.
+    slow_reader_disconnects_.fetch_add(1, std::memory_order_relaxed);
+    Cut(shared);
+    return WriteResult::kClosed;
+  }
+  shared.pending.append(data.data() + off, rest);
+  output_queue_bytes_.fetch_add(rest, std::memory_order_relaxed);
+  return WriteResult::kQueued;
+}
+
+void EventLoop::Cut(internal::ConnShared& shared) {
+  shared.closed = true;
+  const size_t queued = shared.pending.size() - shared.pending_off;
+  if (queued > 0) {
+    output_queue_bytes_.fetch_sub(queued, std::memory_order_relaxed);
+  }
+  shared.pending.clear();
+  shared.pending_off = 0;
+  if (shared.fd >= 0) ::shutdown(shared.fd, SHUT_RDWR);
+}
+
 void EventLoop::Respond(uint64_t conn_id, std::string_view data) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Conn* conn = it->second.get();
-  bool overflow = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->shared->mutex);
-    internal::ConnShared& shared = *conn->shared;
-    if (shared.closed) return;
-    size_t off = 0;
-    if (shared.pending.size() == shared.pending_off) {
-      while (off < data.size()) {
-        const ssize_t n = ::send(shared.fd, data.data() + off,
-                                 data.size() - off, MSG_NOSIGNAL);
-        if (n > 0) {
-          off += static_cast<size_t>(n);
-          shared.last_write_progress = std::chrono::steady_clock::now();
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        break;  // EAGAIN → queue the rest; hard error → overflow below.
-      }
-    }
-    if (off < data.size()) {
-      const size_t queued = shared.pending.size() - shared.pending_off;
-      if (queued + (data.size() - off) > shared.cap) {
-        // The LOOP never blocks: a peer that cannot absorb even the
-        // bounded queue of transport responses is a slow reader.
-        overflow = true;
-      } else {
-        if (queued == 0) {
-          shared.last_write_progress = std::chrono::steady_clock::now();
-          deferred_writes_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shared.pending.append(data.data() + off, data.size() - off);
-        output_queue_bytes_.fetch_add(data.size() - off,
-                                      std::memory_order_relaxed);
-      }
-    }
-  }
-  if (overflow) {
-    slow_reader_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    CloseConn(conn_id);
-    return;
-  }
-  bool queued_now;
-  {
-    std::lock_guard<std::mutex> lock(conn->shared->mutex);
-    queued_now = conn->shared->pending.size() > conn->shared->pending_off;
-  }
-  if (queued_now) {
-    UpdateInterest(conn, conn->want_read, /*write=*/true);
+  switch (Write(*conn->shared, data)) {
+    case WriteResult::kSent:
+      break;
+    case WriteResult::kQueued:
+      UpdateInterest(conn, conn->want_read, /*write=*/true);
+      break;
+    case WriteResult::kClosed:
+      CloseConn(conn_id);
+      break;
   }
 }
 
@@ -610,16 +578,12 @@ void EventLoop::FlushWrites(Conn* conn) {
       }
     }
     empty = shared.pending.empty();
-    // A blocked producer resumes as soon as the queue has visible space.
-    shared.drained.notify_all();
   }
   if (dead) {
     if (conn->state == ConnState::kDispatched) {
-      // The worker still owns the request; fail its writes and let the
+      // The request is still being served; fail its writes and let the
       // completion command reap the connection.
-      std::lock_guard<std::mutex> lock(shared.mutex);
-      shared.closed = true;
-      shared.drained.notify_all();
+      Sever(conn);
     } else {
       CloseConn(id);
     }
@@ -639,18 +603,12 @@ void EventLoop::CloseConn(uint64_t conn_id) {
   Conn* conn = it->second.get();
   {
     std::lock_guard<std::mutex> lock(conn->shared->mutex);
-    conn->shared->closed = true;
+    Cut(*conn->shared);
     conn->shared->fd = -1;
-    const size_t queued =
-        conn->shared->pending.size() - conn->shared->pending_off;
-    if (queued > 0) {
-      output_queue_bytes_.fetch_sub(queued, std::memory_order_relaxed);
-    }
-    conn->shared->pending.clear();
-    conn->shared->pending_off = 0;
-    conn->shared->drained.notify_all();
   }
-  if (conn->socket.valid()) poller_->Remove(conn->socket.fd());
+  if (conn->polled && conn->socket.valid()) {
+    poller_->Remove(conn->socket.fd());
+  }
   conn->socket.Close();
   conns_.erase(it);
   connections_live_.store(conns_.size(), std::memory_order_relaxed);
@@ -697,21 +655,26 @@ void EventLoop::SweepTimeouts() {
   }
   for (uint64_t id : stalled) {
     // Slow-reader disconnect: the peer stopped draining its responses;
-    // cutting it releases the queue AND unblocks a producer stuck in
-    // ConnWriter::SendAll.
+    // cutting it releases the queue and fails the request's later writes.
     slow_reader_disconnects_.fetch_add(1, std::memory_order_relaxed);
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;
     if (it->second->state == ConnState::kDispatched) {
-      std::lock_guard<std::mutex> lock(it->second->shared->mutex);
-      it->second->shared->closed = true;
-      if (it->second->shared->fd >= 0) {
-        ::shutdown(it->second->shared->fd, SHUT_RDWR);
-      }
-      it->second->shared->drained.notify_all();
+      Sever(it->second.get());
     } else {
       CloseConn(id);
     }
+  }
+}
+
+void EventLoop::Sever(Conn* conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn->shared->mutex);
+    if (!conn->shared->closed) Cut(*conn->shared);
+  }
+  if (conn->polled) {
+    poller_->Remove(conn->socket.fd());
+    conn->polled = false;
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,25 +25,23 @@ namespace shapley::net {
 /// Reads are non-blocking and incremental; a fully-parsed request is handed
 /// to the server's callback ON THE LOOP THREAD, which either answers it
 /// inline (transport endpoints: /healthz, /metrics, 400/413/503) or
-/// dispatches it to a worker pool and later reports completion. While a
-/// request is being served the connection's read side is not watched —
-/// pipelined keep-alive bytes wait in the input buffer and are parsed the
-/// moment the response finishes (no unbounded buffering of an aggressive
-/// pipeliner).
+/// dispatches it and later reports completion from whichever thread
+/// finished it. While a request is being served the connection's read side
+/// is not watched — pipelined keep-alive bytes wait in the input buffer and
+/// are parsed the moment the response finishes (no unbounded buffering of
+/// an aggressive pipeliner).
 ///
-/// Write-side backpressure: every connection owns a BOUNDED output queue.
-/// A worker writing a response appends through ConnWriter; when the peer
-/// reads slower than the handler produces, the queue fills and the worker
-/// BLOCKS until the loop drains it (bounded memory per connection), and a
-/// peer that stops reading altogether is disconnected after
-/// write_stall_timeout_ms (slow-reader disconnect) — the blocked worker
-/// then fails fast. The loop thread itself never blocks on a write.
+/// Write-side backpressure: every connection owns a BOUNDED output queue,
+/// and there is one write path for the loop and for completions alike. A
+/// write goes to the socket while the peer keeps up, queues the rest for
+/// the loop to flush on writability, and never blocks: a write that would
+/// take the queue past its cap cuts the connection as a slow reader, and so
+/// does a queue that makes no progress for write_stall_timeout_ms.
 struct EventLoopOptions {
   size_t max_connections = 1024;
   int read_timeout_ms = 10'000;         ///< Idle/mid-message read cutoff.
   int write_stall_timeout_ms = 10'000;  ///< No write progress → disconnect.
-  /// Per-connection output-queue cap: a producer past it blocks until the
-  /// loop drains; the loop (which must not block) disconnects instead.
+  /// Per-connection output-queue cap: a write past it cuts the connection.
   size_t max_output_queue_bytes = 4 * 1024 * 1024;
   size_t max_body_bytes = 8 * 1024 * 1024;
   /// Prebuilt full wire responses (head + body) the loop answers itself;
@@ -69,7 +66,7 @@ struct EventLoopStats {
   uint64_t requests = 0;      ///< Full requests parsed (incl. pipelined).
   uint64_t pipelined = 0;     ///< Follow-up requests parsed from buffered
                               ///< bytes with no intervening read event.
-  uint64_t dispatches = 0;    ///< Requests handed to the worker pool.
+  uint64_t dispatches = 0;    ///< Requests handed to the handler.
   uint64_t deferred_writes = 0;  ///< Writes that hit EAGAIN and queued.
   uint64_t slow_reader_disconnects = 0;
   uint64_t read_timeouts = 0;
@@ -83,12 +80,11 @@ class EventLoop;
 namespace internal {
 
 /// Write-side state of one connection, shared between the loop thread and
-/// whatever worker thread is serving the connection's current request.
-/// The loop owns the fd; workers only ever touch it under `mutex` and only
-/// while `closed` is false.
+/// whatever thread completes the connection's current request. The loop
+/// owns the fd; completions only ever touch it under `mutex` and only while
+/// `closed` is false.
 struct ConnShared {
   std::mutex mutex;
-  std::condition_variable drained;
   EventLoop* loop = nullptr;
   uint64_t id = 0;
   int fd = -1;
@@ -104,13 +100,13 @@ class Poller;
 
 }  // namespace internal
 
-/// ResponseWriter a dispatched worker writes its response through: bytes
-/// go to the peer directly while the socket keeps up, and into the
-/// connection's bounded output queue (flushed by the loop on EPOLLOUT)
-/// when it does not. Blocks the WORKER when the queue is full; returns
-/// false once the connection is gone. Holds the connection's shared write
-/// state, so it stays safe to call even after the loop dropped the
-/// connection (it just fails).
+/// ResponseWriter a dispatched request writes its response through, from
+/// any thread: bytes go to the peer directly while the socket keeps up, and
+/// into the connection's bounded output queue (flushed by the loop on
+/// EPOLLOUT) when it does not. Never blocks; returns false once the
+/// connection is gone, including when this write cut it as a slow reader.
+/// Holds the connection's shared write state, so it stays safe to call even
+/// after the loop dropped the connection (it just fails).
 class ConnWriter : public ResponseWriter {
  public:
   explicit ConnWriter(std::shared_ptr<internal::ConnShared> shared)
@@ -132,8 +128,8 @@ class EventLoop {
   };
 
   /// Called on the LOOP THREAD for every fully-parsed request. `writer` is
-  /// valid only for kDispatched (pass it to the worker; it owns shared
-  /// state, not the loop's connection entry).
+  /// valid only for kDispatched (pass it to whatever completes the request;
+  /// it owns shared state, not the loop's connection entry).
   using RequestFn = std::function<Disposition(
       uint64_t conn_id, HttpRequest&& request,
       std::shared_ptr<ConnWriter> writer)>;
@@ -145,7 +141,8 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Takes the bound listener and spawns the loop thread. Throws
-  /// std::runtime_error when epoll_create1 fails (the listener is closed).
+  /// std::runtime_error when epoll_create1 or the wake-up pipe() fails (the
+  /// listener is closed).
   void Start(Socket listener);
 
   /// Graceful drain: stop accepting, cut idle connections immediately,
@@ -154,26 +151,34 @@ class EventLoop {
   void Stop();
 
   /// Crash simulation: shutdown(SHUT_RDWR) every connection so in-flight
-  /// writes fail mid-stream, then join once the (failing) dispatched
-  /// handlers finish. Idempotent against Stop().
+  /// writes fail mid-stream, then join once the dispatched requests report
+  /// completion. Idempotent against Stop().
   void Abort();
 
-  /// Queues an inline response for `conn_id` (LOOP THREAD ONLY — the
-  /// request callback's path for transport-answered endpoints). Never
-  /// blocks: a queue past its cap disconnects the slow reader instead.
+  /// Writes an inline response for `conn_id` (LOOP THREAD ONLY — the
+  /// request callback's path for transport-answered endpoints), through
+  /// the same non-blocking write path as ConnWriter.
   void Respond(uint64_t conn_id, std::string_view data);
 
   /// Reports a dispatched request finished (any thread). keep_open=false
   /// drains the remaining output and closes.
   void CompleteDispatch(uint64_t conn_id, bool keep_open);
 
-  /// Wakes the loop so it re-arms writability for a connection whose
-  /// worker just queued bytes (called by ConnWriter; any thread).
-  void RequestFlush(uint64_t conn_id);
-
   EventLoopStats stats() const;
 
  private:
+  enum class WriteResult { kSent, kQueued, kClosed };
+
+  /// The one write path (any thread): sends while the socket accepts,
+  /// queues the rest up to the cap, and past the cap cuts the connection
+  /// as a slow reader. kClosed: the connection is gone, maybe cut by this.
+  WriteResult Write(internal::ConnShared& shared, std::string_view data);
+  /// Marks the connection closed, drops its queued output and shuts the
+  /// socket down; the loop reaps the entry. Caller holds shared.mutex.
+  void Cut(internal::ConnShared& shared);
+  /// Queues a command for the loop thread and wakes it (any thread).
+  void Post(uint64_t conn_id, bool complete, bool keep_open);
+
   enum class ConnState { kReading, kDispatched, kDraining };
 
   struct Conn {
@@ -186,6 +191,7 @@ class EventLoop {
     ConnState state = ConnState::kReading;
     bool want_read = false;
     bool want_write = false;
+    bool polled = true;  ///< Registered with the poller (Sever removes it).
     bool close_after_drain = false;
     std::chrono::steady_clock::time_point last_read_activity;
 
@@ -194,9 +200,9 @@ class EventLoop {
   };
 
   struct Command {
-    enum class Kind { kFlush, kComplete } kind;
     uint64_t conn_id;
-    bool keep_open;
+    bool complete;   ///< Else a flush: a completion queued output.
+    bool keep_open;  ///< Completions only.
   };
 
   void Run();
@@ -210,6 +216,9 @@ class EventLoop {
   /// Flushes the shared pending queue; arms/disarms writability.
   void FlushWrites(Conn* conn);
   void CloseConn(uint64_t conn_id);
+  /// Cuts a connection whose request is still dispatched and stops polling
+  /// it; the entry stays until the completion arrives, which closes it.
+  void Sever(Conn* conn);
   void UpdateInterest(Conn* conn, bool read, bool write);
   void SweepTimeouts();
   void HandleCommands();
@@ -229,12 +238,12 @@ class EventLoop {
 
   std::mutex commands_mutex_;
   std::vector<Command> commands_;
+  std::atomic<int> waking_{0};  ///< Post() calls between push and Wake().
 
   uint64_t next_conn_id_ = 16;  // 1 = listener tag, 2 = wakeup tag.
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-  size_t dispatch_inflight_ = 0;  // Loop thread only.
 
-  // Stats: written by the loop thread (and workers for queue bytes), read
+  // Stats: written by the loop thread (and by completions' writes), read
   // by any scrape.
   std::atomic<uint64_t> wakeups_{0};
   std::atomic<uint64_t> events_{0};
@@ -247,7 +256,7 @@ class EventLoop {
   std::atomic<uint64_t> slow_reader_disconnects_{0};
   std::atomic<uint64_t> read_timeouts_{0};
   std::atomic<size_t> connections_live_{0};
-  std::atomic<size_t> dispatch_inflight_stat_{0};
+  std::atomic<size_t> dispatch_inflight_{0};  ///< Written by the loop only.
   std::atomic<size_t> output_queue_bytes_{0};
 
   friend class ConnWriter;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "shapley/cluster/shard_map.h"
@@ -20,6 +19,32 @@
 #include "shapley/obs/trace.h"
 
 namespace shapley::net {
+
+namespace {
+
+double MsSince(std::chrono::steady_clock::time_point from) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - from)
+      .count();
+}
+
+/// A traced request's recorder, installed on it and rooted at its arrival
+/// (the worker wait and the decode, timed before we knew, get honest
+/// offsets); the context is the wire's, else derived from `bytes`.
+std::unique_ptr<obs::TraceRecorder> StartTrace(
+    SvcRequest* request, const std::string& bytes,
+    std::chrono::steady_clock::time_point arrival, double decode_start_ms,
+    double decode_ms) {
+  obs::TraceContext context = request->trace_context;
+  if (!context.valid()) context = obs::TraceContext::Derive(bytes);
+  auto recorder =
+      std::make_unique<obs::TraceRecorder>("backend", context, arrival);
+  recorder->AddClosed("decode", decode_start_ms, decode_ms);
+  request->recorder = recorder.get();
+  return recorder;
+}
+
+}  // namespace
 
 std::string FrontEndErrorBody(SvcErrorCode code, std::string message) {
   SvcResponse response;
@@ -213,61 +238,63 @@ void RegisterDebugDeckMetrics(obs::MetricsRegistry* metrics, DebugDeck* deck,
 // ServiceHandler
 // ---------------------------------------------------------------------------
 
-bool ServiceHandler::Handle(ResponseWriter* writer, const HttpRequest& request,
-                            bool keep_alive, const ServerCounters& counters) {
-  if (request.target == "/v1/compute") {
+void ServiceHandler::Handle(std::shared_ptr<ResponseWriter> writer,
+                            HttpRequest request, bool keep_alive,
+                            const ServerCounters& counters,
+                            HandlerDone done) {
+  // Arrival: the loop just handed the request over. Latency, queue_ms and
+  // the timeout_ms deadline all count from here.
+  const Clock::time_point arrival = Clock::now();
+  const bool compute = request.target == "/v1/compute";
+  if (compute || request.target == "/v1/batch") {
     if (request.method != "POST") {
-      return WriteJsonResponse(writer, 405,
-                               FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                                 "use POST on /v1/compute"),
-                               keep_alive);
+      done(WriteJsonResponse(
+          writer.get(), 405,
+          FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
+                            "use POST on " + request.target),
+          keep_alive));
+      return;
     }
-    return HandleCompute(writer, request, keep_alive);
+    // One task on the service pool: parsing and decoding happen there,
+    // never on the loop.
+    service_->pool()->Submit([this, writer = std::move(writer),
+                              request = std::move(request), keep_alive,
+                              arrival, compute,
+                              done = std::move(done)]() mutable {
+      if (compute) {
+        done(HandleCompute(writer.get(), request, keep_alive, arrival));
+      } else {
+        HandleBatch(std::move(writer), request, keep_alive, arrival,
+                    std::move(done));
+      }
+    });
+    return;
   }
-  if (request.target == "/v1/batch") {
-    if (request.method != "POST") {
-      return WriteJsonResponse(writer, 405,
-                               FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                                 "use POST on /v1/batch"),
-                               keep_alive);
-    }
-    return HandleBatch(writer, request, keep_alive);
-  }
-  if (request.target == "/v1/engines") {
-    if (request.method != "GET") {
-      return WriteJsonResponse(writer, 405,
-                               FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                                 "use GET on /v1/engines"),
-                               keep_alive);
-    }
-    return HandleEngines(writer, keep_alive);
-  }
-  if (request.target == "/v1/stats") {
-    if (request.method != "GET") {
-      return WriteJsonResponse(writer, 405,
-                               FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                                 "use GET on /v1/stats"),
-                               keep_alive);
-    }
-    return HandleStats(writer, keep_alive, counters);
-  }
-  if (request.target == "/v1/debug/flight" ||
+  // The GET endpoints only read counters and rings: answered right here.
+  if (request.target == "/v1/engines" || request.target == "/v1/stats" ||
+      request.target == "/v1/debug/flight" ||
       request.target == "/v1/debug/hot" ||
       request.target == "/v1/debug/slow") {
     if (request.method != "GET") {
-      return WriteJsonResponse(writer, 405,
-                               FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                                 "use GET on " +
-                                                     request.target),
-                               keep_alive);
+      done(WriteJsonResponse(
+          writer.get(), 405,
+          FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
+                            "use GET on " + request.target),
+          keep_alive));
+    } else if (request.target == "/v1/engines") {
+      done(HandleEngines(writer.get(), keep_alive));
+    } else if (request.target == "/v1/stats") {
+      done(HandleStats(writer.get(), keep_alive, counters));
+    } else {
+      done(HandleDebug(writer.get(), request, keep_alive));
     }
-    return HandleDebug(writer, request, keep_alive);
+    return;
   }
-  return WriteJsonResponse(
-      writer, 404,
+  done(WriteJsonResponse(
+      writer.get(), 404,
       FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
                         "unknown endpoint " + request.target),
-      keep_alive);
+      keep_alive));
 }
 
 bool ServiceHandler::HandleDebug(ResponseWriter* writer,
@@ -428,10 +455,9 @@ void ServiceHandler::ObserveRequest(const SvcResponse& response,
 
 bool ServiceHandler::HandleCompute(ResponseWriter* writer,
                                    const HttpRequest& request,
-                                   bool keep_alive) {
-  const auto arrival = std::chrono::steady_clock::now();
-  const obs::SpanTimer wall_timer;
-  obs::SpanTimer decode_timer;
+                                   bool keep_alive, Clock::time_point arrival) {
+  const double decode_start_ms = MsSince(arrival);
+  const obs::SpanTimer decode_timer;
   std::string parse_error;
   std::optional<Json> json = Json::Parse(request.body, &parse_error);
   if (!json.has_value()) {
@@ -441,7 +467,8 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
                              keep_alive);
   }
   DecodedRequest decoded;
-  if (std::optional<SvcError> error = DecodeRequest(*json, &decoded)) {
+  if (std::optional<SvcError> error =
+          DecodeRequest(*json, &decoded, arrival)) {
     SvcResponse response;
     response.error = std::move(error);
     auto schema = Schema::Create();
@@ -456,23 +483,16 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
       deck_ != nullptr ? DigestKeysFor(decoded.request) : RequestDigestKeys{};
   ObserveArrival();
   // Recorder allocated ONLY for traced requests — the untraced hot path
-  // carries a null pointer end to end. The root span is backdated to the
-  // request's arrival so the decode measurement (taken before we knew the
-  // request wanted tracing) slots in with honest offsets; the context
-  // comes off the wire when the router propagated one, else is derived
-  // deterministically from the request bytes.
+  // carries a null pointer end to end.
   std::unique_ptr<obs::TraceRecorder> recorder;
   if (decoded.request.trace) {
-    obs::TraceContext context = decoded.request.trace_context;
-    if (!context.valid()) context = obs::TraceContext::Derive(request.body);
-    recorder =
-        std::make_unique<obs::TraceRecorder>("backend", context, arrival);
-    recorder->AddClosed("decode", 0.0, decode_ms);
-    decoded.request.recorder = recorder.get();
+    recorder = StartTrace(&decoded.request, request.body, arrival,
+                          decode_start_ms, decode_ms);
   }
-  // Blocking Compute on the dispatch-pool thread: the service's pool does
-  // the fan-out; this thread is exactly the client's wait.
-  SvcResponse response = service_->Compute(std::move(decoded.request));
+  // The engine runs inline on this service-pool worker: one of the
+  // service's `threads`, the only place a served request computes.
+  SvcResponse response =
+      service_->Compute(std::move(decoded.request), arrival);
   const int status =
       response.ok() ? 200 : HttpStatusFor(response.error->code);
   if (recorder != nullptr) recorder->Begin("encode");
@@ -486,7 +506,7 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
     if (metrics_ != nullptr) obs::ObserveTracePhases(metrics_, trace.root);
     SetTraceBlock(&body, trace);
   }
-  const double wall_ms = wall_timer.ElapsedMs();
+  const double wall_ms = MsSince(arrival);
   ObserveRequest(response, wall_ms);
   const std::string trace_id =
       recorder != nullptr ? recorder->context().TraceIdHex() : "";
@@ -498,162 +518,152 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
   return WriteJsonResponse(writer, status, body.Dump(), keep_alive);
 }
 
-bool ServiceHandler::HandleBatch(ResponseWriter* writer,
-                                 const HttpRequest& request, bool keep_alive) {
-  std::string parse_error;
-  std::optional<Json> json = Json::Parse(request.body, &parse_error);
-  if (!json.has_value()) {
-    return WriteJsonResponse(writer, 400,
-                             FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                               "bad JSON: " + parse_error),
-                             keep_alive);
-  }
-  const Json* requests = json->Find("requests");
-  const Json::Array* items =
-      requests != nullptr ? requests->IfArray() : nullptr;
-  if (items == nullptr) {
-    return WriteJsonResponse(writer, 400,
-                             FrontEndErrorBody(
-                                 SvcErrorCode::kInvalidRequest,
-                                 "batch: expected {\"requests\": [...]}"),
-                             keep_alive);
-  }
-
-  // Decode everything first; per-request decode failures become tagged
-  // error lines in the stream (one bad request must not sink its batch).
-  const obs::SpanTimer batch_timer;
+/// One /v1/batch in flight: what its items' completions share. Each
+/// completion holds it, so it lives exactly as long as the batch does.
+struct ServiceHandler::BatchStream {
   struct Slot {
     std::shared_ptr<Schema> schema;
-    std::future<SvcResponse> future;
-    std::optional<SvcResponse> immediate;  // Decode failures.
     std::unique_ptr<obs::TraceRecorder> recorder;  // Traced items only.
     RequestDigestKeys digest_keys;  // Taken before the request moves.
-    double decode_ms = 0.0;
-    bool streamed = false;
   };
-  std::vector<Slot> slots(items->size());
-  // The service pool holds a raw pointer INTO each slot (the recorder) for
-  // as long as its compute runs, so the slots must outlive every submitted
-  // future — including on the early-return paths where the connection died
-  // mid-batch. This guard drains whatever is still in flight before the
-  // vector can be destroyed. (future.get() invalidates the future, so only
-  // genuinely outstanding computes are waited on.)
-  struct DrainInFlight {
-    std::vector<Slot>* slots;
-    ~DrainInFlight() {
-      for (Slot& slot : *slots) {
-        if (slot.future.valid() && !slot.streamed) slot.future.wait();
-      }
-    }
-  } drain{&slots};
-  for (size_t i = 0; i < items->size(); ++i) {
-    const auto slot_arrival = std::chrono::steady_clock::now();
-    obs::SpanTimer decode_timer;
-    DecodedRequest decoded;
-    if (std::optional<SvcError> error = DecodeRequest((*items)[i], &decoded)) {
-      SvcResponse response;
-      response.error = std::move(error);
-      slots[i].schema = Schema::Create();
-      slots[i].immediate = std::move(response);
-    } else {
-      slots[i].decode_ms = decode_timer.ElapsedMs();
-      slots[i].schema = decoded.schema;
-      if (decoded.request.trace) {
-        obs::TraceContext context = decoded.request.trace_context;
-        if (!context.valid()) {
-          context = obs::TraceContext::Derive((*items)[i].Dump());
-        }
-        slots[i].recorder = std::make_unique<obs::TraceRecorder>(
-            "backend", context, slot_arrival);
-        slots[i].recorder->AddClosed("decode", 0.0, slots[i].decode_ms);
-        decoded.request.recorder = slots[i].recorder.get();
-      }
-      if (deck_ != nullptr) {
-        slots[i].digest_keys = DigestKeysFor(decoded.request);
-      }
-      ObserveArrival();
-      slots[i].future = service_->Submit(std::move(decoded.request));
-    }
+
+  std::shared_ptr<ResponseWriter> writer;
+  HandlerDone done;
+  Clock::time_point arrival;
+  std::optional<Json> json;             // The parsed batch body.
+  const Json::Array* items = nullptr;   // Into `json`.
+  std::vector<Slot> slots;
+  /// Set once the connection is gone: items not yet started then fail
+  /// fast instead of computing answers nobody can read.
+  CancelToken cancel = MakeCancelToken();
+  std::mutex mutex;  // Serializes lines onto the wire; guards the two below.
+  size_t remaining = 0;
+  bool write_ok = true;
+};
+
+void ServiceHandler::HandleBatch(std::shared_ptr<ResponseWriter> writer,
+                                 const HttpRequest& request, bool keep_alive,
+                                 Clock::time_point arrival, HandlerDone done) {
+  auto batch = std::make_shared<BatchStream>();
+  std::string parse_error;
+  batch->json = Json::Parse(request.body, &parse_error);
+  if (!batch->json.has_value()) {
+    done(WriteJsonResponse(writer.get(), 400,
+                           FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
+                                             "bad JSON: " + parse_error),
+                           keep_alive));
+    return;
+  }
+  const Json* requests = batch->json->Find("requests");
+  batch->items = requests != nullptr ? requests->IfArray() : nullptr;
+  if (batch->items == nullptr) {
+    done(WriteJsonResponse(writer.get(), 400,
+                           FrontEndErrorBody(
+                               SvcErrorCode::kInvalidRequest,
+                               "batch: expected {\"requests\": [...]}"),
+                           keep_alive));
+    return;
   }
 
   // Stream in COMPLETION order: chunked ndjson, each line tagged "id".
   if (!writer->SendAll(SerializeResponseHead(
           200, "application/x-ndjson", /*content_length=*/-1, keep_alive))) {
-    return false;
+    done(false);
+    return;
   }
-  auto stream_one = [&](size_t i, SvcResponse& response) {
-    obs::TraceRecorder* recorder = slots[i].recorder.get();
-    if (recorder != nullptr) recorder->Begin("encode");
-    Json line = EncodeResponse(response, *slots[i].schema);
-    if (recorder != nullptr) {
-      recorder->End();
-      const obs::RequestTrace trace = recorder->Finish();
-      if (metrics_ != nullptr) obs::ObserveTracePhases(metrics_, trace.root);
-      SetTraceBlock(&line, trace);
+  const Json::Array& items = *batch->items;
+  batch->writer = std::move(writer);
+  batch->done = std::move(done);
+  batch->arrival = arrival;
+  batch->slots.resize(items.size());
+  batch->remaining = items.size();
+  if (items.empty()) {
+    batch->done(batch->writer->SendAll(ChunkFrame("")));  // Terminal chunk.
+    return;
+  }
+  // Per-request decode failures become tagged error lines in the stream
+  // (one bad request must not sink its batch).
+  for (size_t i = 0; i < items.size(); ++i) {
+    BatchStream::Slot& slot = batch->slots[i];
+    const double decode_start_ms = MsSince(arrival);
+    const obs::SpanTimer decode_timer;
+    DecodedRequest decoded;
+    if (std::optional<SvcError> error =
+            DecodeRequest(items[i], &decoded, arrival)) {
+      SvcResponse response;
+      response.error = std::move(error);
+      slot.schema = Schema::Create();
+      StreamItem(*batch, i, response);
+      continue;
     }
-    // Per-slot latency is CLIENT-OBSERVED: batch arrival to this line
-    // streaming out (queueing behind siblings included).
-    const double item_wall_ms = batch_timer.ElapsedMs();
-    ObserveRequest(response, item_wall_ms);
-    const int item_status =
-        response.ok() ? 200 : HttpStatusFor(response.error->code);
-    const std::string trace_id =
-        slots[i].recorder != nullptr
-            ? slots[i].recorder->context().TraceIdHex()
-            : "";
-    // A slow batch ITEM captures under /v1/compute with its own single-
-    // request body ((*items)[i] re-emits the item's bytes verbatim — raw
-    // number tokens and member order are preserved), so the captured
-    // outlier replays standalone, without dragging its batch siblings in.
-    if (RecordServedRequest(deck_, slots[i].digest_keys, "/v1/compute",
-                            response, item_status, item_wall_ms, trace_id)) {
-      CaptureSlow(deck_, slots[i].digest_keys, "/v1/compute",
-                  (*items)[i].Dump(), response, item_status, item_wall_ms,
-                  trace_id);
+    const double decode_ms = decode_timer.ElapsedMs();
+    slot.schema = decoded.schema;
+    if (decoded.request.trace) {
+      slot.recorder = StartTrace(&decoded.request, items[i].Dump(), arrival,
+                                 decode_start_ms, decode_ms);
     }
-    // The id leads the object so a human tailing the stream sees it first.
-    Json tagged;
-    tagged.Set("id", Json::Number(uint64_t{i}));
-    for (auto& [key, value] : *line.IfObject()) {
-      tagged.Set(key, value);
-    }
-    return writer->SendAll(ChunkFrame(tagged.Dump() + "\n"));
-  };
+    if (deck_ != nullptr) slot.digest_keys = DigestKeysFor(decoded.request);
+    decoded.request.cancel = batch->cancel;
+    ObserveArrival();
+    service_->Submit(
+        std::move(decoded.request),
+        [this, batch, i](SvcResponse response) {
+          StreamItem(*batch, i, response);
+        },
+        arrival);
+  }
+}
 
-  size_t remaining = slots.size();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].immediate.has_value()) {
-      if (!stream_one(i, *slots[i].immediate)) return false;
-      slots[i].streamed = true;
-      --remaining;
-    }
+void ServiceHandler::StreamItem(BatchStream& batch, size_t index,
+                                const SvcResponse& response) {
+  BatchStream::Slot& slot = batch.slots[index];
+  obs::TraceRecorder* recorder = slot.recorder.get();
+  if (recorder != nullptr) recorder->Begin("encode");
+  Json line = EncodeResponse(response, *slot.schema);
+  if (recorder != nullptr) {
+    recorder->End();
+    const obs::RequestTrace trace = recorder->Finish();
+    if (metrics_ != nullptr) obs::ObserveTracePhases(metrics_, trace.root);
+    SetTraceBlock(&line, trace);
   }
-  while (remaining > 0) {
-    bool progressed = false;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].streamed) continue;
-      if (slots[i].future.wait_for(std::chrono::milliseconds(0)) ==
-          std::future_status::ready) {
-        SvcResponse response = slots[i].future.get();
-        if (!stream_one(i, response)) return false;
-        slots[i].streamed = true;
-        --remaining;
-        progressed = true;
-      }
-    }
-    if (!progressed && remaining > 0) {
-      // Nothing ready: block on the first outstanding future instead of
-      // spinning. 25 ms keeps completion-order latency invisible while a
-      // minutes-long instance costs ~40 wake-ups/s, not ~500.
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (!slots[i].streamed) {
-          slots[i].future.wait_for(std::chrono::milliseconds(25));
-          break;
-        }
-      }
-    }
+  // Per-item latency is CLIENT-OBSERVED: batch arrival to this line
+  // streaming out (queueing behind siblings included).
+  const double item_wall_ms = MsSince(batch.arrival);
+  ObserveRequest(response, item_wall_ms);
+  const int item_status =
+      response.ok() ? 200 : HttpStatusFor(response.error->code);
+  const std::string trace_id =
+      recorder != nullptr ? recorder->context().TraceIdHex() : "";
+  // A slow batch ITEM captures under /v1/compute with its own single-
+  // request body (the item re-emits its bytes verbatim — raw number tokens
+  // and member order are preserved), so the captured outlier replays
+  // standalone, without dragging its batch siblings in.
+  if (RecordServedRequest(deck_, slot.digest_keys, "/v1/compute", response,
+                          item_status, item_wall_ms, trace_id)) {
+    CaptureSlow(deck_, slot.digest_keys, "/v1/compute",
+                (*batch.items)[index].Dump(), response, item_status,
+                item_wall_ms, trace_id);
   }
-  return writer->SendAll(ChunkFrame(""));  // Terminal chunk.
+  // The id leads the object so a human tailing the stream sees it first.
+  Json tagged;
+  tagged.Set("id", Json::Number(uint64_t{index}));
+  for (auto& [key, value] : *line.IfObject()) {
+    tagged.Set(key, value);
+  }
+  const std::string chunk = ChunkFrame(tagged.Dump() + "\n");
+  bool last = false;
+  bool write_ok = false;
+  {
+    std::lock_guard<std::mutex> lock(batch.mutex);
+    if (batch.write_ok) batch.write_ok = batch.writer->SendAll(chunk);
+    last = --batch.remaining == 0;
+    if (last && batch.write_ok) {
+      batch.write_ok = batch.writer->SendAll(ChunkFrame(""));  // Terminal.
+    }
+    write_ok = batch.write_ok;
+  }
+  if (!write_ok) batch.cancel->store(true);
+  if (last) batch.done(write_ok);
 }
 
 bool ServiceHandler::HandleEngines(ResponseWriter* writer, bool keep_alive) {
@@ -699,6 +709,27 @@ bool ServiceHandler::HandleStats(ResponseWriter* writer, bool keep_alive,
 // ---------------------------------------------------------------------------
 // HttpServer
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Reports one dispatched request's end to the loop exactly once. The first
+/// Finish wins; a request whose handler dropped every copy of its done
+/// callback uncalled (a throw on a pool thread, say) ends its connection
+/// when the last copy goes.
+struct Completion {
+  EventLoop* loop;
+  uint64_t conn_id;
+  bool keep_alive;
+  std::atomic<bool> finished{false};
+
+  ~Completion() { Finish(false); }
+  void Finish(bool keep_open) {
+    if (finished.exchange(true)) return;
+    loop->CompleteDispatch(conn_id, keep_open && keep_alive);
+  }
+};
+
+}  // namespace
 
 HttpServer::HttpServer(ShapleyService* service, ServerOptions options)
     : owned_handler_(std::make_unique<ServiceHandler>(service)),
@@ -757,7 +788,7 @@ void HttpServer::SetUpMetrics() {
   });
   // The readiness loop's own counters: wake-ups, dispatch depth,
   // backpressure events — the signals that distinguish "the loop is busy"
-  // from "the pool is busy" from "a peer is not reading".
+  // from "the workers are busy" from "a peer is not reading".
   metrics_->AddCollector([this] {
     EventLoop* loop = loop_ptr_.load();
     if (loop == nullptr) return;
@@ -783,7 +814,7 @@ void HttpServer::SetUpMetrics() {
         ->Set(s.pipelined);
     metrics_
         ->GetCounter("shapley_server_eventloop_dispatches_total",
-                     "Requests handed to the dispatch pool", role)
+                     "Requests handed to the handler", role)
         ->Set(s.dispatches);
     metrics_
         ->GetCounter("shapley_server_eventloop_deferred_writes_total",
@@ -793,8 +824,8 @@ void HttpServer::SetUpMetrics() {
         ->Set(s.deferred_writes);
     metrics_
         ->GetCounter("shapley_server_eventloop_slow_reader_disconnects_total",
-                     "Connections cut for making no write progress with "
-                     "queued output",
+                     "Connections cut for output past the queue cap or no "
+                     "write progress with queued output",
                      role)
         ->Set(s.slow_reader_disconnects);
     metrics_
@@ -803,7 +834,7 @@ void HttpServer::SetUpMetrics() {
         ->Set(s.read_timeouts);
     metrics_
         ->GetGauge("shapley_server_eventloop_dispatch_inflight",
-                   "Requests dispatched to the pool and not yet completed",
+                   "Requests handed to the handler and not yet completed",
                    role)
         ->Set(static_cast<double>(s.dispatch_inflight));
     metrics_
@@ -828,15 +859,6 @@ void HttpServer::Start() {
   }
   loop_ptr_.store(nullptr);
   loop_.reset();
-  size_t threads = options_.dispatch_threads;
-  if (threads == 0) {
-    // Dispatch workers are thin waiters (they block on service futures),
-    // so over-provisioning relative to cores is the POINT: request
-    // concurrency must not be serialized on a small machine.
-    threads = std::max<size_t>(
-        8, static_cast<size_t>(std::thread::hardware_concurrency()));
-  }
-  dispatch_pool_ = std::make_unique<ThreadPool>(threads);
 
   EventLoopOptions loop_options;
   loop_options.max_connections = options_.max_connections;
@@ -845,54 +867,33 @@ void HttpServer::Start() {
   loop_options.max_output_queue_bytes = options_.max_output_queue_bytes;
   loop_options.max_body_bytes = options_.max_body_bytes;
   // The loop answers protocol-level failures from prebuilt buffers — no
-  // allocation, no handler, no pool round-trip.
-  {
-    const std::string body = FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                                               "malformed HTTP request");
-    loop_options.response_400 =
-        SerializeResponseHead(400, "application/json",
-                              static_cast<long>(body.size()),
-                              /*keep_alive=*/false) +
-        body;
-  }
-  {
-    // capacity-exceeded, matching the 413 transport status and the README
-    // table ("body over the server limit").
-    const std::string body = FrontEndErrorBody(
-        SvcErrorCode::kCapacityExceeded,
-        "request body exceeds the server limit of " +
-            std::to_string(options_.max_body_bytes) + " bytes");
-    loop_options.response_413 =
-        SerializeResponseHead(413, "application/json",
-                              static_cast<long>(body.size()),
-                              /*keep_alive=*/false) +
-        body;
-  }
-  {
-    const std::string body = FrontEndErrorBody(
-        SvcErrorCode::kCapacityExceeded,
-        "server at its connection limit (" +
-            std::to_string(options_.max_connections) + ") — retry");
-    loop_options.response_503 =
-        SerializeResponseHead(503, "application/json",
-                              static_cast<long>(body.size()),
-                              /*keep_alive=*/false) +
-        body;
-  }
-  {
-    // A connection idle past the read timeout with a PARTIAL request gets
-    // told so before the close; an idle keep-alive connection between
-    // requests still closes silently (event_loop.cc SweepTimeouts).
-    const std::string body = FrontEndErrorBody(
-        SvcErrorCode::kRequestTimeout,
-        "no complete request within the read timeout of " +
-            std::to_string(options_.read_timeout_ms) + " ms");
-    loop_options.response_408 =
-        SerializeResponseHead(408, "application/json",
-                              static_cast<long>(body.size()),
-                              /*keep_alive=*/false) +
-        body;
-  }
+  // allocation, no handler, no pool round-trip — and each closes.
+  auto prebuilt = [](int status, SvcErrorCode code, std::string message) {
+    const std::string body = FrontEndErrorBody(code, std::move(message));
+    return SerializeResponseHead(status, "application/json",
+                                 static_cast<long>(body.size()),
+                                 /*keep_alive=*/false) +
+           body;
+  };
+  loop_options.response_400 = prebuilt(400, SvcErrorCode::kInvalidRequest,
+                                       "malformed HTTP request");
+  // capacity-exceeded, matching the 413 transport status and the README
+  // table ("body over the server limit").
+  loop_options.response_413 = prebuilt(
+      413, SvcErrorCode::kCapacityExceeded,
+      "request body exceeds the server limit of " +
+          std::to_string(options_.max_body_bytes) + " bytes");
+  loop_options.response_503 = prebuilt(
+      503, SvcErrorCode::kCapacityExceeded,
+      "server at its connection limit (" +
+          std::to_string(options_.max_connections) + ") — retry");
+  // A connection idle past the read timeout with a PARTIAL request gets
+  // told so before the close; an idle keep-alive connection between
+  // requests still closes silently (event_loop.cc SweepTimeouts).
+  loop_options.response_408 = prebuilt(
+      408, SvcErrorCode::kRequestTimeout,
+      "no complete request within the read timeout of " +
+          std::to_string(options_.read_timeout_ms) + " ms");
 
   loop_ = std::make_unique<EventLoop>(
       std::move(loop_options),
@@ -901,7 +902,8 @@ void HttpServer::Start() {
         return OnRequest(conn_id, std::move(request), std::move(writer));
       });
   stopping_.store(false);
-  // Throws when epoll_create1 fails, leaving the server not running.
+  // Throws when epoll_create1 or pipe() fails, leaving the server not
+  // running.
   loop_->Start(std::move(listener));
   running_.store(true);
   loop_ptr_.store(loop_.get());
@@ -910,11 +912,9 @@ void HttpServer::Start() {
 void HttpServer::Stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // Order matters: the loop's drain needs the pool alive (dispatched
-  // requests finish and report completion); the pool's destructor then
-  // joins workers that have nothing left to do.
+  // Returns once every dispatched request reported completion and its
+  // response drained.
   if (loop_ != nullptr) loop_->Stop();
-  dispatch_pool_.reset();
 }
 
 void HttpServer::Abort() {
@@ -925,7 +925,6 @@ void HttpServer::Abort() {
   // the connection die mid-stream exactly as if the process had been
   // killed.
   if (loop_ != nullptr) loop_->Abort();
-  dispatch_pool_.reset();
 }
 
 ServerCounters HttpServer::counters() const {
@@ -964,71 +963,49 @@ EventLoop::Disposition HttpServer::OnRequest(
     options_.request_log->Append(request.target, request.body);
   }
 
-  if (request.target == "/healthz") {
-    // Answered ON THE LOOP THREAD: a router probing a backend's health
-    // must get a response even when the dispatch pool (or the service
-    // behind it) is busy to the gills.
-    std::string wire;
+  if (request.target == "/healthz" || request.target == "/metrics") {
+    // Answered ON THE LOOP THREAD: a router probing a backend's health, or
+    // a scrape, must get a response even when the service behind it (or
+    // the fleet behind a router) is busy to the gills.
+    int status = 200;
+    const char* content_type = "application/json";
+    std::string text;
     if (request.method != "GET") {
-      const std::string body = FrontEndErrorBody(
-          SvcErrorCode::kInvalidRequest, "use GET on /healthz");
-      wire = SerializeResponseHead(405, "application/json",
-                                   static_cast<long>(body.size()),
-                                   keep_alive) +
-             body;
-    } else {
+      status = 405;
+      text = FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
+                               "use GET on " + request.target);
+    } else if (request.target == "/healthz") {
       Json body;
       body.Set("status", Json::Str("ok"));
       body.Set("version", Json::Str(kShapleyVersion));
       body.Set("role", Json::Str(options_.role));
-      const std::string text = body.Dump();
-      wire = SerializeResponseHead(200, "application/json",
-                                   static_cast<long>(text.size()),
-                                   keep_alive) +
-             text;
-    }
-    loop_->Respond(conn_id, wire);
-    return keep_alive ? EventLoop::Disposition::kInlineKeep
-                      : EventLoop::Disposition::kInlineClose;
-  }
-  if (request.target == "/metrics") {
-    // Answered at the transport layer like /healthz: a scrape must work
-    // even when the handler (or the fleet behind a router) is wedged.
-    std::string wire;
-    if (request.method != "GET") {
-      const std::string body = FrontEndErrorBody(
-          SvcErrorCode::kInvalidRequest, "use GET on /metrics");
-      wire = SerializeResponseHead(405, "application/json",
-                                   static_cast<long>(body.size()),
-                                   keep_alive) +
-             body;
+      text = body.Dump();
     } else {
-      const std::string text = metrics_->RenderPrometheus();
-      wire = SerializeResponseHead(200, "text/plain; version=0.0.4",
-                                   static_cast<long>(text.size()),
-                                   keep_alive) +
-             text;
+      content_type = "text/plain; version=0.0.4";
+      text = metrics_->RenderPrometheus();
     }
-    loop_->Respond(conn_id, wire);
+    loop_->Respond(conn_id, SerializeResponseHead(
+                                status, content_type,
+                                static_cast<long>(text.size()), keep_alive) +
+                                text);
     return keep_alive ? EventLoop::Disposition::kInlineKeep
                       : EventLoop::Disposition::kInlineClose;
   }
 
-  // Everything else runs on the dispatch pool; the worker reports back to
-  // the loop when the response is fully produced (possibly still queued in
-  // the connection's output buffer — the loop drains that part).
-  auto shared_request = std::make_shared<HttpRequest>(std::move(request));
-  dispatch_pool_->Submit(
-      [this, conn_id, writer, shared_request, keep_alive] {
-        bool alive = false;
-        try {
-          alive = handler_->Handle(writer.get(), *shared_request, keep_alive,
-                                   counters());
-        } catch (...) {
-          alive = false;  // A throwing handler must not take the loop down.
-        }
-        loop_->CompleteDispatch(conn_id, alive && keep_alive);
-      });
+  // Everything else goes to the handler, which reports back to the loop
+  // when the response is fully produced (possibly still queued in the
+  // connection's output buffer — the loop drains that part).
+  auto completion = std::shared_ptr<Completion>(
+      new Completion{loop_.get(), conn_id, keep_alive});
+  try {
+    handler_->Handle(std::move(writer), std::move(request), keep_alive,
+                     counters(), [completion](bool keep_open) {
+                       completion->Finish(keep_open);
+                     });
+  } catch (...) {
+    // A throwing handler must not take the loop down.
+    completion->Finish(false);
+  }
   return EventLoop::Disposition::kDispatched;
 }
 

@@ -2,11 +2,12 @@
 #define SHAPLEY_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
-#include "shapley/exec/thread_pool.h"
 #include "shapley/net/event_loop.h"
 #include "shapley/net/http.h"
 #include "shapley/obs/flight.h"
@@ -37,14 +38,10 @@ struct ServerOptions {
   /// A connection with queued response bytes but no write progress for
   /// this long is disconnected (slow-reader disconnect).
   int write_stall_timeout_ms = 10'000;
-  /// Per-connection output-queue cap: a handler producing faster than its
-  /// peer reads blocks once the queue holds this much (bounded memory).
+  /// Per-connection output-queue cap (bounded memory): a response that
+  /// would queue past it, because its peer reads slower than it is
+  /// produced, cuts the connection as a slow reader. Writes never block.
   size_t max_output_queue_bytes = 4 * 1024 * 1024;
-  /// Worker threads of the dispatch pool (the threads handlers run on;
-  /// they block on service futures, the service's own pool computes).
-  /// 0 = max(8, hardware_concurrency) — enough thin waiters that modest
-  /// request concurrency is never serialized on a small machine.
-  size_t dispatch_threads = 0;
   /// Reported by GET /healthz ("backend" for a ShapleyService front,
   /// "router" for the shard router) so a probe can tell what it reached.
   std::string role = "backend";
@@ -62,16 +59,10 @@ struct ServerOptions {
   /// request).
   obs::RequestLogWriter* request_log = nullptr;
 
-  /// Always-on debug instruments (the DebugDeck below; GET /v1/debug/*).
-  /// Flight-recorder ring slots — how many recent request digests survive.
-  size_t flight_capacity = 1024;
-  /// Heavy-hitter sketch capacity (tracked keys per sketch).
-  size_t heavy_k = 32;
-  /// Requests at or above this wall time get their verbatim body promoted
-  /// into the slow-log; <= 0 disables slow capture.
+  /// Always-on debug instruments (the DebugDeck below; GET /v1/debug/*):
+  /// requests at or above this wall time, counted from arrival, get their
+  /// verbatim body promoted into the slow-log; <= 0 disables slow capture.
   double slow_threshold_ms = 250.0;
-  /// Slow-log ring capacity (captured outliers resident at once).
-  size_t slowlog_capacity = 32;
 };
 
 /// Snapshot of an HttpServer's connection-level counters, handed to the
@@ -84,6 +75,12 @@ struct ServerCounters {
   size_t requests_served = 0;
 };
 
+/// How a handler reports that it is done with a request: its response is
+/// fully written through the writer (bytes may still wait in the
+/// connection's output queue; the loop drains them), or abandoned.
+/// keep_open = false ends the connection. Callable from any thread.
+using HandlerDone = std::function<void(bool keep_open)>;
+
 /// The application half of HttpServer: the transport (event loop,
 /// keep-alive, limits, drain) is fixed; WHAT the endpoints do is this
 /// interface. ServiceHandler serves a ShapleyService (the classic single
@@ -92,13 +89,17 @@ class HttpHandler {
  public:
   virtual ~HttpHandler() = default;
 
-  /// One request → one (possibly chunk-streamed) response write through
-  /// `writer`. Runs on a DISPATCH-POOL thread (never the loop thread), so
-  /// blocking on service futures is fine. Returning false ends the
-  /// connection. GET /healthz never reaches the handler — the server
-  /// answers it itself.
-  virtual bool Handle(ResponseWriter* writer, const HttpRequest& request,
-                      bool keep_alive, const ServerCounters& counters) = 0;
+  /// One request → one (possibly chunk-streamed) response written through
+  /// `writer`, then `done`. Runs ON THE LOOP THREAD and must not block:
+  /// answer cheap endpoints inline, hand everything else to a pool, and
+  /// call `done` from wherever the response is finished. The server turns
+  /// `done` into the loop's completion exactly once on every path: a throw
+  /// out of Handle, or every copy of `done` dropped uncalled, ends the
+  /// connection. GET /healthz and /metrics never reach the handler — the
+  /// server answers them itself.
+  virtual void Handle(std::shared_ptr<ResponseWriter> writer,
+                      HttpRequest request, bool keep_alive,
+                      const ServerCounters& counters, HandlerDone done) = 0;
 };
 
 /// The always-on debug instruments of one serving process — a flight
@@ -108,11 +109,18 @@ class HttpHandler {
 /// HttpServer creates and owns one; the shard router builds its own and
 /// serves it through the same /v1/debug/* surface.
 struct DebugDeck {
+  /// Flight-recorder ring slots — how many recent request digests survive.
+  static constexpr size_t kFlightCapacity = 1024;
+  /// Heavy-hitter sketch capacity (tracked keys per sketch).
+  static constexpr size_t kHeavyK = 32;
+  /// Slow-log ring capacity (captured outliers resident at once).
+  static constexpr size_t kSlowLogCapacity = 32;
+
   explicit DebugDeck(const ServerOptions& options)
-      : flight(options.flight_capacity),
-        hot_keys(options.heavy_k),
-        hot_classes(options.heavy_k),
-        slow(options.slow_threshold_ms, options.slowlog_capacity) {}
+      : flight(kFlightCapacity),
+        hot_keys(kHeavyK),
+        hot_classes(kHeavyK),
+        slow(options.slow_threshold_ms, kSlowLogCapacity) {}
 
   obs::FlightRecorder flight;
   obs::SpaceSaving hot_keys;     ///< Keyed by canonical shard key.
@@ -185,13 +193,19 @@ bool WriteJsonResponse(ResponseWriter* writer, int status,
 ///   GET  /v1/engines  the registry: names, descriptions, capabilities
 ///   GET  /v1/stats    ServiceStats snapshot (+ server connection counters)
 ///   GET  /v1/debug/flight|hot|slow  the attached DebugDeck (set_debug)
+///
+/// GETs only read counters and rings: answered on the loop thread. A POST
+/// is one task on the service pool (decode, then a single's engine inline
+/// or a batch's items submitted, each completion writing its own line).
+/// Latency, queue_ms and the timeout_ms deadline count from arrival.
 class ServiceHandler : public HttpHandler {
  public:
   /// `service` outlives the handler; not owned.
   explicit ServiceHandler(ShapleyService* service) : service_(service) {}
 
-  bool Handle(ResponseWriter* writer, const HttpRequest& request,
-              bool keep_alive, const ServerCounters& counters) override;
+  void Handle(std::shared_ptr<ResponseWriter> writer, HttpRequest request,
+              bool keep_alive, const ServerCounters& counters,
+              HandlerDone done) override;
 
   /// Attaches a metrics registry (not owned; outlives the handler):
   /// registers the ServiceStats scrape collector and starts observing the
@@ -207,10 +221,19 @@ class ServiceHandler : public HttpHandler {
   void set_debug(DebugDeck* deck) { deck_ = deck; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+  struct BatchStream;
+
+  /// Pool tasks: parse, decode, compute (a single) or submit (a batch).
   bool HandleCompute(ResponseWriter* writer, const HttpRequest& request,
-                     bool keep_alive);
-  bool HandleBatch(ResponseWriter* writer, const HttpRequest& request,
-                   bool keep_alive);
+                     bool keep_alive, Clock::time_point arrival);
+  void HandleBatch(std::shared_ptr<ResponseWriter> writer,
+                   const HttpRequest& request, bool keep_alive,
+                   Clock::time_point arrival, HandlerDone done);
+  /// One batch item's completion: encode, record, write its line; the last
+  /// one writes the terminal chunk and calls the batch's done.
+  void StreamItem(BatchStream& batch, size_t index,
+                  const SvcResponse& response);
   bool HandleEngines(ResponseWriter* writer, bool keep_alive);
   bool HandleStats(ResponseWriter* writer, bool keep_alive,
                    const ServerCounters& counters);
@@ -230,10 +253,9 @@ class ServiceHandler : public HttpHandler {
 };
 
 /// The TCP/HTTP front: an epoll event loop multiplexing the listener and
-/// every connection on ONE thread (net/event_loop.h), with requests
-/// dispatched to a small worker pool. Keep-alive, body/connection limits,
-/// write-side backpressure and the shutdown drain are the transport's
-/// job; an HttpHandler supplies the endpoints — the
+/// every connection on ONE thread (net/event_loop.h). Keep-alive,
+/// body/connection limits, write-side backpressure and the shutdown drain
+/// are the transport's job; an HttpHandler supplies the endpoints — the
 /// classic constructor wraps a ShapleyService in a ServiceHandler, the
 /// handler constructor hosts anything else (the shard router).
 ///
@@ -242,25 +264,27 @@ class ServiceHandler : public HttpHandler {
 /// ON THE LOOP THREAD, so a health probe costs no handler (or service)
 /// work and never queues behind dispatched requests. GET /metrics is
 /// answered the same way (Prometheus text exposition of the server's
-/// registry), so a scrape works even when the handler pool is wedged.
+/// registry), so a scrape works even when every worker is busy.
 ///
 /// Execution model: one loop thread owns every fd and runs each
 /// connection's state machine (read-accumulate → parse → dispatch →
-/// write-drain); fully-parsed requests are handed to the dispatch pool
-/// (options.dispatch_threads thin waiters — the service's own pool does
-/// the actual computing). While a request is in flight its connection's
-/// read side is not watched: pipelined keep-alive bytes wait buffered and
-/// are served the moment the response completes. A thousand idle
-/// keep-alive connections therefore cost a thousand fds, not a thousand
-/// OS threads.
+/// write-drain); every other fully-parsed request goes to the handler on
+/// that thread, which hands it to the pool of whatever it fronts (the
+/// service's pool, the router's forwarding pool) and reports completion
+/// from there. The server owns no threads but the loop. While a request is
+/// in flight its connection's read side is not watched: pipelined
+/// keep-alive bytes wait buffered and are served the moment the response
+/// completes. A thousand idle keep-alive connections therefore cost a
+/// thousand fds, not a thousand OS threads.
 ///
 /// Shutdown discipline: Stop() closes the door (no new connections), cuts
-/// idle keep-alive connections immediately, finishes every DISPATCHED
-/// request, streams those responses out, and joins — in-flight work is
-/// drained, never dropped. Abort() is the opposite contract: a crash
-/// simulation for failover tests — it shutdowns every connection BOTH
-/// ways, so in-flight responses fail to write and clients see the stream
-/// die mid-flight.
+/// idle keep-alive connections immediately, waits for every DISPATCHED
+/// request to complete, streams those responses out, and joins — in-flight
+/// work is drained, never dropped, so whatever the handler fronts must
+/// keep running until Stop() returns. Abort() is the opposite contract: a
+/// crash simulation for failover tests — it shutdowns every connection
+/// BOTH ways, so in-flight responses fail to write and clients see the
+/// stream die mid-flight.
 class HttpServer {
  public:
   /// `service` outlives the server; not owned. Wraps it in an owned
@@ -273,9 +297,9 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens and spawns the loop thread + dispatch pool. Throws
-  /// std::runtime_error when the address cannot be bound or epoll_create1
-  /// fails.
+  /// Binds, listens and spawns the loop thread. Throws std::runtime_error
+  /// when the address cannot be bound, or when epoll_create1 or the loop's
+  /// wake-up pipe() fails.
   void Start();
 
   /// Graceful drain (see above). Idempotent; also run by the destructor.
@@ -296,9 +320,6 @@ class HttpServer {
   size_t connections_accepted() const {
     return counters().connections_accepted;
   }
-  size_t connections_rejected() const {
-    return counters().connections_rejected;
-  }
   size_t requests_served() const { return served_.load(); }
 
   /// The registry behind GET /metrics — options().metrics when provided,
@@ -316,7 +337,7 @@ class HttpServer {
   /// collector. Ctor-only.
   void SetUpMetrics();
   /// The event loop's request callback (LOOP THREAD): answers /healthz,
-  /// /metrics inline; dispatches everything else to the pool.
+  /// /metrics inline; dispatches everything else to the handler.
   EventLoop::Disposition OnRequest(uint64_t conn_id, HttpRequest&& request,
                                    std::shared_ptr<ConnWriter> writer);
 
@@ -330,7 +351,6 @@ class HttpServer {
   /// The loop as seen by scrape collectors (which may run on any thread
   /// while Start() swaps loop_): null until Start() completes.
   std::atomic<EventLoop*> loop_ptr_{nullptr};
-  std::unique_ptr<ThreadPool> dispatch_pool_;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

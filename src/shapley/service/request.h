@@ -70,8 +70,8 @@ struct SvcRequest {
   /// explicit engine = "sampling" override.
   ApproxParams approx;
 
-  /// Absolute deadline; a request past it when dequeued fails with
-  /// kDeadlineExceeded without running its engine.
+  /// Absolute deadline; a request past it when execution starts fails
+  /// with kDeadlineExceeded without running its engine.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 
   /// Optional cancellation token (see CancelToken).
@@ -107,7 +107,9 @@ struct SvcRequest {
 
 /// Per-request timing, attached to every response.
 struct RequestStats {
-  double queue_ms = 0.0;  ///< Submit → execution start (time in the queue).
+  /// Arrival → execution start: time waiting for a pool worker (a served
+  /// request arrives when the event loop hands it over).
+  double queue_ms = 0.0;
   double exec_ms = 0.0;   ///< Execution start → response ready.
 };
 

@@ -18,14 +18,6 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// An immediately-ready future (used when the service refuses work without
-/// touching the pool).
-std::future<SvcResponse> ReadyFuture(SvcResponse response) {
-  std::promise<SvcResponse> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 /// values sorted by descending value, ties by fact order, first k.
 std::vector<std::pair<Fact, BigRational>> TopK(
     const std::map<Fact, BigRational>& values, size_t k) {
@@ -102,8 +94,9 @@ ServiceStats ShapleyService::Stats() const {
   return stats;
 }
 
-std::future<SvcResponse> ShapleyService::Submit(SvcRequest request) {
-  const Clock::time_point submitted = Clock::now();
+void ShapleyService::Submit(SvcRequest request,
+                            std::function<void(SvcResponse)> done,
+                            Clock::time_point arrival) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (shutting_down_.load()) {
     SvcResponse response;
@@ -111,29 +104,30 @@ std::future<SvcResponse> ShapleyService::Submit(SvcRequest request) {
     response.error = SvcError{SvcErrorCode::kCancelled,
                               "service is shutting down", ""};
     failed_.fetch_add(1, std::memory_order_relaxed);
-    return ReadyFuture(std::move(response));
+    done(std::move(response));
+    return;
   }
   auto shared = std::make_shared<SvcRequest>(std::move(request));
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  return pool_->Submit(
-      [this, shared, submitted] { return Execute(*shared, submitted); });
+  pool_->Submit([this, shared, done = std::move(done), arrival] {
+    done(Execute(*shared, arrival));
+  });
 }
 
-std::vector<std::future<SvcResponse>> ShapleyService::SubmitBatch(
-    std::vector<SvcRequest> requests) {
-  std::vector<std::future<SvcResponse>> futures;
-  futures.reserve(requests.size());
-  for (SvcRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
-  }
-  return futures;
+std::future<SvcResponse> ShapleyService::Submit(SvcRequest request) {
+  auto promise = std::make_shared<std::promise<SvcResponse>>();
+  std::future<SvcResponse> future = promise->get_future();
+  Submit(std::move(request), [promise](SvcResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
 }
 
-SvcResponse ShapleyService::Compute(SvcRequest request) {
-  const Clock::time_point submitted = Clock::now();
+SvcResponse ShapleyService::Compute(SvcRequest request,
+                                    Clock::time_point arrival) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  return Execute(request, submitted);
+  return Execute(request, arrival);
 }
 
 std::shared_ptr<SvcEngine> ShapleyService::MakeConfiguredEngine(
@@ -245,11 +239,11 @@ DichotomyVerdict ShapleyService::Classify(const BooleanQuery& query,
 }
 
 SvcResponse ShapleyService::Execute(const SvcRequest& request,
-                                    Clock::time_point submitted) {
+                                    Clock::time_point arrival) {
   const Clock::time_point start = Clock::now();
   SvcResponse response;
   response.mode = request.mode;
-  response.stats.queue_ms = MsBetween(submitted, start);
+  response.stats.queue_ms = MsBetween(arrival, start);
 
   // Opt-in tracing via a hierarchical span recorder: "route" covers
   // classification + engine selection and encloses the verdict-"cache"

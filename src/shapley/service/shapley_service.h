@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -65,9 +66,10 @@ struct ServiceStats {
 /// The serving front-end of the library — the paper's dichotomy turned
 /// into a routing policy.
 ///
-/// ShapleyService accepts typed SvcRequests and returns futures for typed
-/// SvcResponses. Submit() is non-blocking: the request is queued on the
-/// service's long-lived ThreadPool and executed when a worker frees up.
+/// ShapleyService accepts typed SvcRequests and answers typed SvcResponses.
+/// Submit() is non-blocking: the request is queued on the service's
+/// long-lived ThreadPool, executed when a worker frees up, and its response
+/// handed to a completion callback (or a future) on that worker.
 /// Every request is classified (ClassifySvcComplexity) and the verdict is
 /// embedded in its response; unless overridden, the verdict also routes
 /// the request — the lifted via-FGMC engine on the tractable hierarchical
@@ -78,14 +80,14 @@ struct ServiceStats {
 /// serving process, and every caller — server, router, CLI, benches —
 /// reaches the engines through it.
 ///
-/// Thread-safety: Submit/SubmitBatch/Compute may be called from any number
-/// of client threads concurrently. Engines are instantiated per request
+/// Thread-safety: Submit/Compute may be called from any number of client
+/// threads concurrently. Engines are instantiated per request
 /// from the registry, so no engine state is shared across requests.
 ///
 /// Failure discipline: Execute never throws — every failure (capacity,
 /// unsupported class, deadline, cancellation, engine error) becomes
 /// SvcResponse::error, so a worker thread can never die on a request and
-/// future.get() never surprises the client with an engine exception.
+/// no completion ever sees an engine exception.
 class ShapleyService {
  public:
   explicit ShapleyService(ServiceOptions options = {},
@@ -95,18 +97,24 @@ class ShapleyService {
   ShapleyService(const ShapleyService&) = delete;
   ShapleyService& operator=(const ShapleyService&) = delete;
 
-  /// Queues one request; non-blocking. The future is always eventually
-  /// ready and never throws on get().
-  std::future<SvcResponse> Submit(SvcRequest request);
+  /// Queues one request; non-blocking. `done` runs exactly once with the
+  /// response: on the pool worker that executed it, or inline when the
+  /// service is shutting down. `arrival` is when the request reached this
+  /// process; its stats.queue_ms counts from there.
+  void Submit(SvcRequest request, std::function<void(SvcResponse)> done,
+              std::chrono::steady_clock::time_point arrival =
+                  std::chrono::steady_clock::now());
 
-  /// Queues many requests at once; futures in input order.
-  std::vector<std::future<SvcResponse>> SubmitBatch(
-      std::vector<SvcRequest> requests);
+  /// The same, answered through a future that is always eventually ready
+  /// and never throws on get().
+  std::future<SvcResponse> Submit(SvcRequest request);
 
   /// Blocking convenience: executes the request inline on the calling
   /// thread (no queue hop; engine-internal work still fans across the
-  /// pool when threads > 1).
-  SvcResponse Compute(SvcRequest request);
+  /// pool when threads > 1). queue_ms counts from `arrival`.
+  SvcResponse Compute(SvcRequest request,
+                      std::chrono::steady_clock::time_point arrival =
+                          std::chrono::steady_clock::now());
 
   /// Stops accepting work; queued-but-unstarted requests resolve with
   /// kCancelled. Idempotent. Also called by the destructor, which then
@@ -136,7 +144,7 @@ class ShapleyService {
 
  private:
   SvcResponse Execute(const SvcRequest& request,
-                      std::chrono::steady_clock::time_point submitted);
+                      std::chrono::steady_clock::time_point arrival);
 
   /// Registry factory + shared-context install (pool when parallel, cache,
   /// d-DNNF circuit sharing).

@@ -324,13 +324,23 @@ TEST(CodecTest, ResponseDecodeToleratesUnknownFieldsAtEveryLevel) {
   EXPECT_EQ(decoded_failed.error->code, SvcErrorCode::kUpstreamUnavailable);
   EXPECT_EQ(decoded_failed.error->message, "down");
 
-  // Tolerance is NOT sloppiness: known fields keep their strict types.
+  // Tolerance is NOT sloppiness: known fields keep their strict types. The
+  // approx block's own sample count is retyped in place (a second
+  // "samples" key would be a duplicate, which the parser rejects first).
+  std::string retyped = wire;
+  const std::string samples_key = "\"samples\":";
+  const size_t approx_at = retyped.find("\"approx\":{");
+  ASSERT_NE(approx_at, std::string::npos);
+  const size_t samples_at = retyped.find(samples_key, approx_at);
+  ASSERT_NE(samples_at, std::string::npos);
+  const size_t value_at = samples_at + samples_key.size();
+  retyped.replace(value_at, retyped.find_first_of(",}", value_at) - value_at,
+                  "\"many\"");
+  std::optional<Json> retyped_json = Json::Parse(retyped);
+  ASSERT_TRUE(retyped_json.has_value()) << retyped;
   SvcResponse rejected;
-  EXPECT_TRUE(net::DecodeResponse(
-                  *Json::Parse(InsertAfter(wire, "\"approx\":{",
-                                           R"("samples":"many",)")),
-                  schema, &rejected)
-                  .has_value());
+  EXPECT_TRUE(
+      net::DecodeResponse(*retyped_json, schema, &rejected).has_value());
 }
 
 /// The REQUEST path stays strict: the same decoration that responses

@@ -11,16 +11,29 @@
 //  (c) transport-level behavior: keep-alive connection reuse, unknown
 //      endpoints, malformed HTTP, oversized bodies, /v1/engines and
 //      /v1/stats, and Start() throwing when the event loop cannot be
-//      created.
+//      created;
+//  (d) one executor: served engines run only on the service pool, so
+//      ServiceOptions::threads bounds their concurrency, waiting for a
+//      worker shows in queue_ms, latency and the deadline, and a reader
+//      that stops reading is cut at the output cap instead of pinning a
+//      worker.
 
 #include "shapley/net/server.h"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <condition_variable>
+#include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +42,7 @@
 #include "shapley/data/parser.h"
 #include "shapley/net/client.h"
 #include "shapley/net/codec.h"
+#include "shapley/obs/metrics.h"
 #include "shapley/query/query_parser.h"
 #include "shapley/service/shapley_service.h"
 
@@ -49,13 +63,79 @@ QueryPtr ParseQuery(const std::shared_ptr<Schema>& schema, const char* text) {
 /// Serving stack on an ephemeral port, torn down in reverse order.
 struct Stack {
   explicit Stack(ServiceOptions service_options = {.threads = 2},
-                 ServerOptions server_options = {})
-      : service(service_options), server(&service, server_options) {
+                 ServerOptions server_options = {},
+                 EngineRegistry registry = EngineRegistry::Default())
+      : service(service_options, std::move(registry)),
+        server(&service, server_options) {
     server.Start();
   }
   ShapleyService service;
   HttpServer server;
 };
+
+/// What a "probe" engine saw: how many of its AllValues calls ran at once,
+/// at most, and how many there were. Each call waits until `released` (or,
+/// when `hold_first` is set, the first call sleeps that long and the rest
+/// pass straight through).
+struct ProbeLog {
+  std::mutex mutex;
+  std::condition_variable changed;
+  int active = 0;
+  int peak = 0;
+  int calls = 0;
+  bool released = false;
+  std::chrono::milliseconds hold_first{0};
+};
+
+class ProbeEngine : public SvcEngine {
+ public:
+  explicit ProbeEngine(ProbeLog* log) : log_(log) {}
+  std::string name() const override { return "probe"; }
+  BigRational Value(const BooleanQuery&, const PartitionedDatabase&,
+                    const Fact&) override {
+    return BigRational(0);
+  }
+  std::map<Fact, BigRational> AllValues(const BooleanQuery&,
+                                        const PartitionedDatabase&) override {
+    std::unique_lock<std::mutex> lock(log_->mutex);
+    const bool first = log_->calls++ == 0;
+    log_->peak = std::max(log_->peak, ++log_->active);
+    log_->changed.notify_all();
+    if (log_->hold_first.count() > 0) {
+      if (first) {
+        lock.unlock();
+        std::this_thread::sleep_for(log_->hold_first);
+        lock.lock();
+      }
+    } else {
+      log_->changed.wait(lock, [this] { return log_->released; });
+    }
+    --log_->active;
+    return {};
+  }
+
+ private:
+  ProbeLog* log_;
+};
+
+EngineRegistry RegistryWithProbe(ProbeLog* log) {
+  EngineRegistry registry = EngineRegistry::Default();
+  registry.Register({"probe", "records its own concurrency",
+                     EngineCaps{.all_query_classes = true},
+                     [log] { return std::make_shared<ProbeEngine>(log); }});
+  return registry;
+}
+
+/// The counter's value in the server's own /metrics rendering.
+uint64_t SlowReaderDisconnects(HttpServer& server) {
+  const std::string text = server.metrics()->RenderPrometheus();
+  const std::string key =
+      "shapley_server_eventloop_slow_reader_disconnects_total"
+      "{role=\"backend\"} ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? 0
+                                 : std::stoull(text.substr(at + key.size()));
+}
 
 TEST(ServerTest, MixedBatchOverTcpIsBitIdenticalToInProcessCompute) {
   auto schema = Schema::Create();
@@ -321,40 +401,50 @@ TEST(ServerTest, HealthzIsAnsweredByTheTransportItself) {
   EXPECT_EQ(response.status, 405);
 }
 
-// The event loop has one readiness backend: when its epoll instance cannot
-// be created, Start() throws, as it does when the address cannot be bound.
+// The event loop has one readiness backend: when its epoll instance or its
+// wake-up pipe cannot be created, Start() throws, as it does when the
+// address cannot be bound — never a "running" server refusing every
+// connection.
 TEST(ServerTest, StartThrowsWhenEpollCannotBeCreated) {
   ShapleyService service(ServiceOptions{.threads = 1});
   HttpServer server(&service, ServerOptions{});
-  // A full Start/Stop first: the restart below must work, and every path
+  // A full Start/Stop first: the restarts below must work, and every path
   // Start takes is then warm (UBSan's vptr check opens a pipe for a type
-  // it has not seen yet, which the tight limit below would refuse).
+  // it has not seen yet, which the tight limits below would refuse).
   server.Start();
   server.Stop();
-  // Leave exactly one descriptor number under this process's limit: the
-  // listener takes it and epoll_create1 fails with EMFILE.
-  const int next_fd = ::open("/dev/null", O_RDONLY);
-  ASSERT_GE(next_fd, 0);
-  ::close(next_fd);
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
-  rlimit tight = saved;
-  tight.rlim_cur = static_cast<rlim_t>(next_fd) + 1;
-  // Restores the limit when the try block unwinds, before the handler.
-  struct RestoreLimit {
-    rlimit limit;
-    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
-  };
-  std::string message;
-  try {
-    RestoreLimit restore{saved};
-    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
-    server.Start();
-  } catch (const std::runtime_error& e) {
-    message = e.what();
+  // Descriptors left under this process's limit → the call that fails:
+  // with one, the listener takes it and epoll_create1 fails with EMFILE;
+  // with two, the listener and the epoll instance fit and the pipe's two
+  // ends do not.
+  const std::pair<int, const char*> cases[] = {{1, "epoll_create1"},
+                                               {2, "pipe"}};
+  for (const auto& [room, failing_call] : cases) {
+    SCOPED_TRACE(failing_call);
+    const int next_fd = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(next_fd, 0);
+    ::close(next_fd);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit tight = saved;
+    tight.rlim_cur = static_cast<rlim_t>(next_fd + room);
+    // Restores the limit when the try block unwinds, before the handler.
+    struct RestoreLimit {
+      rlimit limit;
+      ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+    };
+    std::string message;
+    try {
+      RestoreLimit restore{saved};
+      ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+      server.Start();
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find(failing_call), std::string::npos) << message;
+    EXPECT_FALSE(server.running());
+    server.Stop();  // Cleans up should a Start() have succeeded.
   }
-  EXPECT_NE(message.find("epoll_create1"), std::string::npos) << message;
-  EXPECT_FALSE(server.running());
 }
 
 TEST(ServerTest, TransportEdgesAnswerStructurally) {
@@ -407,6 +497,277 @@ TEST(ServerTest, TransportEdgesAnswerStructurally) {
   bad_json.target = "/v1/compute";
   bad_json.body = "{this is not json";
   EXPECT_EQ(raw_exchange(net::SerializeRequest(bad_json)).status, 400);
+}
+
+// Three single computes and a 4-item batch in flight at once: whatever the
+// handler path, no more engines run at a time than the service has
+// threads.
+TEST(ServerTest, ServedEnginesNeverOutnumberServiceThreads) {
+  auto schema = Schema::Create();
+  SvcRequest request;
+  request.query = ParseQuery(schema, "R(x), S(x,y)");
+  request.db = ParsePartitionedDatabase(schema, "R(a) S(a,b)");
+  request.engine = "probe";
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ProbeLog log;
+    Stack stack(ServiceOptions{.threads = threads}, ServerOptions{},
+                RegistryWithProbe(&log));
+    std::vector<std::thread> clients;
+    std::array<bool, 4> ok{};  // One byte per client: written concurrently.
+    for (size_t c = 0; c < 3; ++c) {
+      clients.emplace_back([&, c] {
+        ShapleyClient client("127.0.0.1", stack.server.port());
+        ok[c] = client.Compute(request).ok();
+      });
+    }
+    clients.emplace_back([&] {
+      ShapleyClient client("127.0.0.1", stack.server.port());
+      const std::vector<SvcResponse> responses =
+          client.ComputeBatch(std::vector<SvcRequest>(4, request));
+      ok[3] = responses.size() == 4 &&
+              std::all_of(responses.begin(), responses.end(),
+                          [](const SvcResponse& r) { return r.ok(); });
+    });
+    // Every request has reached the server and the pool is full; a little
+    // longer shows any engine running beyond the bound.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (stack.server.requests_served() < 4 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    {
+      std::unique_lock<std::mutex> lock(log.mutex);
+      log.changed.wait_until(lock, deadline, [&] {
+        return log.active >= static_cast<int>(threads);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    {
+      std::lock_guard<std::mutex> lock(log.mutex);
+      log.released = true;
+    }
+    log.changed.notify_all();
+    for (std::thread& client : clients) client.join();
+
+    EXPECT_EQ(stack.server.requests_served(), 4u);
+    EXPECT_EQ(ok, (std::array<bool, 4>{true, true, true, true}));
+    EXPECT_EQ(log.calls, 7);
+    EXPECT_GE(log.peak, 1);
+    EXPECT_LE(log.peak, static_cast<int>(threads));
+  }
+}
+
+// With the only pool worker held for 200 ms, the wait is the requests'
+// own: queue_ms and latency count it, and a request whose timeout_ms
+// budget runs out while waiting fails without running.
+TEST(ServerTest, WaitingForAPoolWorkerCountsAsQueueingAndAgainstTheDeadline) {
+  ProbeLog log;
+  log.hold_first = std::chrono::milliseconds(200);
+  Stack stack(ServiceOptions{.threads = 1}, ServerOptions{},
+              RegistryWithProbe(&log));
+  auto schema = Schema::Create();
+  SvcRequest request;
+  request.query = ParseQuery(schema, "R(x), S(x,y)");
+  request.db = ParsePartitionedDatabase(schema, "R(a) S(a,b)");
+  request.engine = "probe";
+
+  std::thread holder([&] {  // Request A: holds the worker.
+    ShapleyClient client("127.0.0.1", stack.server.port());
+    EXPECT_TRUE(client.Compute(request).ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(log.mutex);
+    ASSERT_TRUE(log.changed.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return log.calls == 1; }));
+  }
+  SvcResponse late;
+  std::thread timed([&] {  // Request C: a 50 ms budget.
+    SvcRequest budgeted = request;
+    budgeted.WithTimeout(std::chrono::milliseconds(50));
+    ShapleyClient client("127.0.0.1", stack.server.port());
+    late = client.Compute(budgeted);
+    EXPECT_EQ(client.last_status(), 504);
+  });
+  SvcRequest queued = request;  // Request B: top-k, to find its digest.
+  queued.mode = SvcMode::kTopK;
+  ShapleyClient client("127.0.0.1", stack.server.port());
+  const SvcResponse response = client.Compute(queued);
+  holder.join();
+  timed.join();
+
+  ASSERT_TRUE(response.ok()) << response.error->ToString();
+  EXPECT_GE(response.stats.queue_ms, 150.0);
+  ASSERT_TRUE(late.error.has_value());
+  EXPECT_EQ(late.error->code, SvcErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(log.calls, 2);  // A and B; C never reached the engine.
+
+  bool found = false;
+  for (const auto& entry : stack.server.debug_deck()->flight.Snapshot()) {
+    if (entry.digest.mode != "top-k") continue;
+    found = true;
+    EXPECT_GE(entry.digest.latency_us, 150'000u);
+  }
+  EXPECT_TRUE(found);
+}
+
+// A client that closes, half-closes or resets its connection while its
+// request computes leaves the loop nothing to do until the completion: the
+// loop must not spin on the hangup in the meantime.
+TEST(ServerTest, HangupWhileRequestComputesLeavesTheLoopIdle) {
+  auto schema = Schema::Create();
+  SvcRequest request;
+  request.query = ParseQuery(schema, "R(x)");
+  request.db = ParsePartitionedDatabase(schema, "R(a)");
+  request.engine = "probe";
+  net::HttpRequest post;
+  post.method = "POST";
+  post.target = "/v1/compute";
+  post.body = net::EncodeRequest(request).Dump();
+  for (const char* hangup : {"close", "half-close", "reset"}) {
+    SCOPED_TRACE(hangup);
+    ProbeLog log;
+    Stack stack(ServiceOptions{.threads = 1}, ServerOptions{},
+                RegistryWithProbe(&log));
+    std::string error;
+    net::Socket socket =
+        net::ConnectTcp("127.0.0.1", stack.server.port(), &error);
+    ASSERT_TRUE(socket.valid()) << error;
+    ASSERT_TRUE(socket.SendAll(net::SerializeRequest(post)));
+    {
+      std::unique_lock<std::mutex> lock(log.mutex);
+      ASSERT_TRUE(log.changed.wait_for(lock, std::chrono::seconds(10),
+                                       [&] { return log.calls == 1; }));
+    }
+    if (std::string(hangup) == "half-close") {
+      ::shutdown(socket.fd(), SHUT_WR);
+    } else {
+      if (std::string(hangup) == "reset") {  // Close with an RST.
+        const linger abort_on_close{1, 0};
+        ::setsockopt(socket.fd(), SOL_SOCKET, SO_LINGER, &abort_on_close,
+                     sizeof(abort_on_close));
+      }
+      socket.Close();
+    }
+    // Everything in this process is waiting: the probe on its latch, this
+    // thread in sleep_for. Whatever CPU it burns is the loop's.
+    rusage before{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    rusage after{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+    {
+      std::lock_guard<std::mutex> lock(log.mutex);
+      log.released = true;
+    }
+    log.changed.notify_all();
+    auto cpu_ms = [](const rusage& r) {
+      return (r.ru_utime.tv_sec + r.ru_stime.tv_sec) * 1e3 +
+             (r.ru_utime.tv_usec + r.ru_stime.tv_usec) / 1e3;
+    };
+    EXPECT_LT(cpu_ms(after) - cpu_ms(before), 100.0);
+  }
+}
+
+// A client that posts a batch whose answer is megabytes and never reads:
+// the output queue reaches its cap and the connection is cut at once,
+// long before the write-stall timeout, while the only pool worker keeps
+// serving everyone else.
+TEST(ServerTest, ReaderThatStopsReadingIsCutAtTheOutputCap) {
+  // One fact with a long name: every answer line is ~20 KB yet cheap to
+  // compute, so the stream outgrows the buffers within seconds even in a
+  // sanitizer build.
+  auto schema = Schema::Create();
+  SvcRequest item;
+  item.query = ParseQuery(schema, "R(x)");
+  item.db = ParsePartitionedDatabase(
+      schema, "R(a" + std::string(20'000, 'x') + ")");
+  const size_t line_bytes =
+      net::EncodeResponse(ShapleyService(ServiceOptions{.threads = 1})
+                              .Compute(item),
+                          *schema)
+          .Dump()
+          .size();
+  // The stream is half again what the kernel and the server can buffer:
+  // the server's send buffer autotunes up to tcp_wmem's maximum, the
+  // client's receive buffer is pinned small below, and the output queue
+  // holds the cap.
+  constexpr int kReceiveBuffer = 16 * 1024;
+  ServerOptions options;
+  options.write_stall_timeout_ms = 60'000;
+  options.max_output_queue_bytes = 64 * 1024;
+  size_t send_buffer_max = size_t{4} << 20;
+  if (std::ifstream wmem("/proc/sys/net/ipv4/tcp_wmem"); wmem) {
+    size_t min = 0, initial = 0;
+    wmem >> min >> initial >> send_buffer_max;
+  }
+  const size_t buffered = send_buffer_max + 2 * kReceiveBuffer +
+                          options.max_output_queue_bytes;
+  const size_t items = 3 * buffered / (2 * line_bytes) + 1;
+
+  std::string body = "{\"requests\":[";
+  const std::string item_text = net::EncodeRequest(item).Dump();
+  for (size_t i = 0; i < items; ++i) {
+    if (i > 0) body += ',';
+    body += item_text;
+  }
+  body += "]}";
+  net::HttpRequest post;
+  post.method = "POST";
+  post.target = "/v1/batch";
+  post.body = std::move(body);
+  options.max_body_bytes = post.body.size();
+  Stack stack(ServiceOptions{.threads = 1}, options);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  net::Socket reader(fd);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kReceiveBuffer,
+                         sizeof(kReceiveBuffer)),
+            0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(stack.server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const uint64_t cuts_before = SlowReaderDisconnects(stack.server);
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(reader.SendAll(net::SerializeRequest(post)));
+
+  SvcResponse other;
+  std::thread other_client([&] {
+    SvcRequest small;
+    small.query = ParseQuery(schema, "R(x), S(x,y)");
+    small.db = ParsePartitionedDatabase(schema, "R(a) S(a,b)");
+    ShapleyClient client("127.0.0.1", stack.server.port());
+    other = client.Compute(small);
+  });
+  while (SlowReaderDisconnects(stack.server) == cuts_before &&
+         std::chrono::steady_clock::now() - sent < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(SlowReaderDisconnects(stack.server), cuts_before + 1);
+  other_client.join();
+  EXPECT_TRUE(other.ok());
+
+  // The cut is real: reading now drains what the kernel buffered, then
+  // the stream ends, short of the full answer.
+  const timeval patience{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof(patience)),
+            0);
+  char buffer[64 * 1024];
+  size_t received = 0;
+  ssize_t n;
+  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+    received += static_cast<size_t>(n);
+  }
+  EXPECT_TRUE(n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+      << "the connection is still open";
+  EXPECT_LT(received, line_bytes * items);
 }
 
 }  // namespace

@@ -109,12 +109,14 @@ TEST(ShapleyServiceTest, MixedClassBatch64IsBitIdenticalToSerialEngines) {
     request.db = RandomDb(k % 3 == 2 ? ucq_schema : schema, 100 + 13 * k);
     requests.push_back(std::move(request));
   }
-  // Keep copies: SubmitBatch consumes the request objects.
+  // Keep copies: Submit consumes the request objects.
   std::vector<SvcRequest> reference = requests;
 
   ShapleyService service(ServiceOptions{.threads = 4});
-  std::vector<std::future<SvcResponse>> futures =
-      service.SubmitBatch(std::move(requests));
+  std::vector<std::future<SvcResponse>> futures;
+  for (SvcRequest& request : requests) {
+    futures.push_back(service.Submit(std::move(request)));
+  }
   ASSERT_EQ(futures.size(), 64u);
 
   SvcViaFgmc serial_lifted(std::make_shared<LiftedFgmc>());
