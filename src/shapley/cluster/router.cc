@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -32,14 +33,34 @@ Json RetagParsedLine(const Json& parsed, uint64_t new_id) {
   return tagged;
 }
 
-/// An ndjson line the ROUTER answers for a request no backend could serve.
-std::string UnservedLine(uint64_t id, const std::string& detail) {
-  const std::string body = net::FrontEndErrorBody(
-      SvcErrorCode::kUpstreamUnavailable, detail);
-  std::string parse_error;
-  std::optional<Json> json = Json::Parse(body, &parse_error);
-  return RetagParsedLine(*json, id).Dump();
-}
+/// One routed request — a /v1/compute single or one /v1/batch item — from
+/// its routing to its record.
+struct RoutedItem {
+  /// The bytes forwarded: the client's own, verbatim, or re-stamped with
+  /// the item's trace context when traced.
+  std::string text;
+  std::string key;   ///< Ranks the backends; its hash keys the digest.
+  std::string mode;  ///< SvcMode wire name, for the digest.
+  /// Traced items only: the item's OWN cluster-wide tree, rooted at
+  /// "router". One thread touches it at a time.
+  std::unique_ptr<obs::TraceRecorder> recorder;
+
+  /// Opens a "hop" span for one forwarding attempt, tagged with the
+  /// upstream identity: a failover leaves BOTH hops in the tree.
+  void BeginHop(const std::string& backend, size_t attempt) {
+    if (recorder == nullptr) return;
+    recorder->Begin("hop");
+    recorder->Attr("backend", backend);
+    recorder->Attr("attempt", std::to_string(attempt));
+  }
+
+  /// Closes the open hop with the transport error that failed it.
+  void FailHop(const char* error) {
+    if (recorder == nullptr) return;
+    recorder->Attr("error", error);
+    recorder->End();
+  }
+};
 
 }  // namespace
 
@@ -105,22 +126,6 @@ class RouterHandler : public net::HttpHandler {
       }
       return HandleCluster(writer, keep_alive, counters);
     }
-    if (request.target == "/v1/debug/flight") {
-      if (request.method != "GET") {
-        return MethodNotAllowed(writer, "use GET on /v1/debug/flight",
-                                keep_alive);
-      }
-      return net::WriteJsonResponse(
-          writer, 200, net::DebugFlightBody(*router_->deck_), keep_alive);
-    }
-    if (request.target == "/v1/debug/slow") {
-      if (request.method != "GET") {
-        return MethodNotAllowed(writer, "use GET on /v1/debug/slow",
-                                keep_alive);
-      }
-      return net::WriteJsonResponse(
-          writer, 200, net::DebugSlowBody(*router_->deck_), keep_alive);
-    }
     if (request.target == "/v1/debug/hot") {
       if (request.method != "GET") {
         return MethodNotAllowed(writer, "use GET on /v1/debug/hot",
@@ -172,39 +177,74 @@ class RouterHandler : public net::HttpHandler {
         ->Observe(ms);
   }
 
-  /// One routed request into the router's always-on deck: a flight digest
-  /// (engine = the backend that served it, "" when none could) and — when
-  /// the forward was slow — the verbatim forwarded body into the slow-log.
-  /// The router's SKETCHES stay untouched: /v1/debug/hot reports the
-  /// merged backend sketches, and recording here too would double-count
-  /// every request in the fleet view. Thread-safe (batch shard workers
-  /// call this concurrently).
-  void RecordRouted(const std::string& target, uint64_t shard_key_hash,
-                    const std::string& backend_id, const std::string& mode,
-                    int status, double wall_ms, const std::string& trace_id,
-                    const std::string* body_if_slow) {
-    net::DebugDeck* deck = router_->deck_.get();
-    obs::FlightDigest digest;
-    digest.target = target;
-    digest.shard_key_hash = shard_key_hash;
-    digest.engine = backend_id;
-    digest.mode = mode;
-    digest.status = status;
-    digest.latency_us = static_cast<uint64_t>(wall_ms * 1000.0);
-    digest.trace_id = trace_id;
-    deck->flight.Record(std::move(digest));
-    if (body_if_slow != nullptr && deck->slow.ShouldCapture(wall_ms)) {
-      obs::SlowEntry entry;
-      entry.target = target;
-      entry.body = *body_if_slow;
-      entry.latency_ms = wall_ms;
-      entry.status = status;
-      entry.engine = backend_id;
-      entry.mode = mode;
-      entry.shard_key_hash = shard_key_hash;
-      entry.trace_id = trace_id;
-      deck->slow.Capture(std::move(entry));
+  /// Cluster-propagated tracing: a traced request gets a recorder rooted
+  /// at "router" under ONE trace context (the client's own, when it sent
+  /// the object form; derived from the request bytes otherwise), and its
+  /// forwarded bytes are re-stamped with that context so the backend's
+  /// span tree grafts into this one. Untraced requests keep the existing
+  /// contract — the client's bytes are forwarded VERBATIM, no recorder,
+  /// no re-encode.
+  static RoutedItem Route(const SvcRequest& request, const Json& json,
+                          std::string bytes) {
+    RoutedItem item;
+    item.key = KeyFor(request, bytes);
+    item.mode = shapley::ToString(request.mode);
+    if (request.trace) {
+      obs::TraceContext context = request.trace_context;
+      if (!context.valid()) context = obs::TraceContext::Derive(bytes);
+      item.recorder = std::make_unique<obs::TraceRecorder>("router", context);
+      Json stamped = json;
+      net::SetRequestTraceContext(&stamped, item.recorder->context());
+      bytes = stamped.Dump();
     }
+    item.text = std::move(bytes);
+    return item;
+  }
+
+  /// The one end of a routed item, served or not. Closes its open hop,
+  /// grafting the backend's own span tree from `answer`'s trace block
+  /// (offsets are parent-relative, so no clock comparison across
+  /// processes is needed), installs the finished cluster-wide tree into
+  /// `answer`, and records the item into the server's deck: a flight
+  /// digest with engine = the backend that served it, and a slow capture
+  /// of the forwarded bytes. `backend` "" means no backend could serve
+  /// it: its hops are closed already, and nothing is captured. `answer`
+  /// is null for an untraced single, whose bytes cross unparsed. The
+  /// router records no sketch: /v1/debug/hot is the merged backend view,
+  /// and recording here too would double-count every request. Thread-safe
+  /// (batch shard workers call this concurrently).
+  void Finish(RoutedItem& item, const std::string& backend, int status,
+              double wall_ms, Json* answer) {
+    if (item.recorder != nullptr) {
+      if (!backend.empty()) {
+        std::optional<obs::RequestTrace> backend_trace;
+        if (const Json* trace_json =
+                answer != nullptr ? answer->Find("trace") : nullptr) {
+          backend_trace = net::DecodeTrace(*trace_json);
+        }
+        if (backend_trace.has_value()) {
+          item.recorder->EndGraft(std::move(backend_trace->root));
+        } else {
+          item.recorder->End();
+        }
+      }
+      if (answer != nullptr) {
+        net::SetTraceBlock(answer, item.recorder->Finish());
+      }
+    }
+    obs::FlightDigest digest;
+    digest.target = "/v1/compute";
+    digest.shard_key_hash = StableHash64(item.key);
+    digest.engine = backend;
+    digest.mode = item.mode;
+    digest.status = status;
+    digest.trace_id =
+        item.recorder != nullptr ? item.recorder->context().TraceIdHex() : "";
+    std::function<std::string()> body;
+    if (!backend.empty()) body = [&item] { return item.text; };
+    router_->server_->debug_deck()->Record(std::move(digest), wall_ms,
+                                           /*shard_key=*/"",
+                                           /*query_class=*/"", body);
   }
 
   /// The HTTP status a backend batch line reports: its "error" block
@@ -243,41 +283,21 @@ class RouterHandler : public net::HttpHandler {
     }
 
     router_->requests_routed_.fetch_add(1);
-
-    // Cluster-propagated tracing: a traced request gets a recorder rooted
-    // at "router" under ONE trace context (the client's own, when it sent
-    // the object form; derived from the request bytes otherwise), and the
-    // forwarded body is re-stamped with that context so the backend's
-    // span tree grafts into this one. Untraced requests keep the existing
-    // contract — the client's bytes are forwarded VERBATIM, no recorder,
-    // no re-encode.
-    std::unique_ptr<obs::TraceRecorder> recorder;
-    std::string forward_body = request.body;
-    if (decoded.request.trace) {
-      obs::TraceContext context = decoded.request.trace_context;
-      if (!context.valid()) context = obs::TraceContext::Derive(request.body);
-      recorder = std::make_unique<obs::TraceRecorder>("router", context);
-      Json stamped = *json;
-      net::SetRequestTraceContext(&stamped, recorder->context());
-      forward_body = stamped.Dump();
-    }
-    // Installs the finished cluster-wide tree into a backend (or error)
-    // body; returns the body unchanged when the request is untraced or
-    // the body is not JSON.
-    auto with_trace = [&](const std::string& body) {
-      if (recorder == nullptr) return body;
-      std::optional<Json> parsed = Json::Parse(body);
-      if (!parsed.has_value()) return body;
-      net::SetTraceBlock(&*parsed, recorder->Finish());
-      return parsed->Dump();
+    RoutedItem item = Route(decoded.request, *json, request.body);
+    // A traced answer is parsed to carry the cluster-wide tree; an
+    // untraced one crosses verbatim.
+    auto finish = [&](const std::string& backend, int status,
+                      const std::string& body, double wall_ms) {
+      std::optional<Json> parsed;
+      if (item.recorder != nullptr) parsed = Json::Parse(body);
+      Finish(item, backend, status, wall_ms,
+             parsed.has_value() ? &*parsed : nullptr);
+      return net::WriteJsonResponse(
+          writer, status, parsed.has_value() ? parsed->Dump() : body,
+          keep_alive);
     };
 
-    const std::string key = KeyFor(decoded.request, request.body);
-    const uint64_t key_hash = StableHash64(key);
-    const std::string mode = shapley::ToString(decoded.request.mode);
-    const std::string trace_id =
-        recorder != nullptr ? recorder->context().TraceIdHex() : "";
-    std::vector<size_t> order = HealthyRank(key);
+    std::vector<size_t> order = HealthyRank(item.key);
     const size_t tries = std::min<size_t>(order.size(), 2);
     for (size_t attempt = 0; attempt < tries; ++attempt) {
       BackendChannel* channel = router_->backends_[order[attempt]].get();
@@ -286,61 +306,33 @@ class RouterHandler : public net::HttpHandler {
         channel->CountRetried(1);
         router_->requests_failed_over_.fetch_add(1);
       }
-      if (recorder != nullptr) {
-        // One "hop" span per forwarding attempt, tagged with the upstream
-        // identity — a failover leaves BOTH hops in the tree, the failed
-        // one carrying the error.
-        recorder->Begin("hop");
-        recorder->Attr("backend", channel->id());
-        recorder->Attr("attempt", std::to_string(attempt));
-      }
+      item.BeginHop(channel->id(), attempt);
       std::unique_ptr<net::ShapleyClient> client = channel->Acquire();
+      int status = 0;
+      std::string body;
       try {
-        int status = 0;
-        const std::string body = client->RawCompute(forward_body, &status);
+        body = client->RawCompute(item.text, &status);
         channel->Release(std::move(client));
-        if (recorder != nullptr) {
-          // Graft the backend's own span tree (shipped in the response's
-          // trace block) under this hop — offsets are parent-relative, so
-          // no clock comparison across processes is needed.
-          std::optional<obs::RequestTrace> backend_trace;
-          if (std::optional<Json> parsed = Json::Parse(body)) {
-            if (const Json* trace_json = parsed->Find("trace")) {
-              backend_trace = net::DecodeTrace(*trace_json);
-            }
-          }
-          if (backend_trace.has_value()) {
-            recorder->EndGraft(std::move(backend_trace->root));
-          } else {
-            recorder->End();
-          }
-        }
-        const double wall_ms = wall_timer.ElapsedMs();
-        ObserveLatency("compute", wall_ms);
-        RecordRouted("/v1/compute", key_hash, channel->id(), mode, status,
-                     wall_ms, trace_id, &forward_body);
-        return net::WriteJsonResponse(writer, status, with_trace(body),
-                                      keep_alive);
       } catch (const std::runtime_error& e) {
         // Transport failure (the client threw, so it is mid-protocol and
         // gets destroyed, not pooled): mark the shard down and fail over.
         channel->CountFailed(1);
         channel->set_healthy(false);
-        if (recorder != nullptr) {
-          recorder->Attr("error", e.what());
-          recorder->End();
-        }
+        item.FailHop(e.what());
+        continue;
       }
+      const double wall_ms = wall_timer.ElapsedMs();
+      ObserveLatency("compute", wall_ms);
+      return finish(channel->id(), status, body, wall_ms);
     }
     router_->requests_unserved_.fetch_add(1);
-    RecordRouted("/v1/compute", key_hash, /*backend_id=*/"", mode, 503,
-                 wall_timer.ElapsedMs(), trace_id, /*body_if_slow=*/nullptr);
-    return net::WriteJsonResponse(
-        writer, 503,
-        with_trace(net::FrontEndErrorBody(
-            SvcErrorCode::kUpstreamUnavailable,
-            "no healthy backend for this shard")),
-        keep_alive);
+    // A traced unserved request still carries its (router-only) span tree:
+    // the hops it burned are exactly what an operator wants to see on a
+    // 503.
+    return finish(/*backend=*/"", 503,
+                  net::FrontEndErrorBody(SvcErrorCode::kUpstreamUnavailable,
+                                         "no healthy backend for this shard"),
+                  wall_timer.ElapsedMs());
   }
 
   bool HandleBatch(net::ResponseWriter* writer, const net::HttpRequest& request,
@@ -368,21 +360,14 @@ class RouterHandler : public net::HttpHandler {
 
     // Route every request: decode failures are answered by the ROUTER
     // (tagged error lines, exactly as a backend would stream them); the
-    // rest group by home shard, remembering their raw text (forwarded
-    // verbatim) and key (for failover re-ranking).
+    // rest group by home shard, each traced one with its OWN cluster-wide
+    // tree.
     const size_t n = items->size();
-    std::vector<std::string> item_text(n);
-    std::vector<std::string> keys(n);
-    std::vector<std::string> modes(n);  // For the per-line flight digests.
-    // Per-item recorders for traced requests (null otherwise): each traced
-    // item gets its OWN cluster-wide tree, its forwarded text re-stamped
-    // with the item's trace context; untraced items forward verbatim.
-    std::vector<std::unique_ptr<obs::TraceRecorder>> recorders(n);
+    std::vector<RoutedItem> routed(n);
     std::vector<std::string> immediate;       // Pre-routed error lines.
     std::map<size_t, std::vector<size_t>> groups;  // backend → global ids.
     std::vector<size_t> unserved;
     for (size_t i = 0; i < n; ++i) {
-      item_text[i] = (*items)[i].Dump();
       net::DecodedRequest decoded;
       if (std::optional<SvcError> error =
               net::DecodeRequest((*items)[i], &decoded)) {
@@ -395,19 +380,8 @@ class RouterHandler : public net::HttpHandler {
         continue;
       }
       router_->requests_routed_.fetch_add(1);
-      if (decoded.request.trace) {
-        obs::TraceContext context = decoded.request.trace_context;
-        if (!context.valid()) {
-          context = obs::TraceContext::Derive(item_text[i]);
-        }
-        recorders[i] = std::make_unique<obs::TraceRecorder>("router", context);
-        Json stamped = (*items)[i];
-        net::SetRequestTraceContext(&stamped, recorders[i]->context());
-        item_text[i] = stamped.Dump();
-      }
-      keys[i] = KeyFor(decoded.request, item_text[i]);
-      modes[i] = shapley::ToString(decoded.request.mode);
-      const std::vector<size_t> order = HealthyRank(keys[i]);
+      routed[i] = Route(decoded.request, (*items)[i], (*items)[i].Dump());
+      const std::vector<size_t> order = HealthyRank(routed[i].key);
       if (order.empty()) {
         unserved.push_back(i);
       } else {
@@ -429,28 +403,17 @@ class RouterHandler : public net::HttpHandler {
       if (!write_ok) return;
       write_ok = writer->SendAll(net::ChunkFrame(line + "\n"));
     };
-    // A traced unserved item still carries its (router-only) span tree —
-    // the hops it burned are exactly what an operator wants to see on a
-    // 503 line.
+    // The line the ROUTER answers for an item no backend could serve; a
+    // traced one still carries its (router-only) span tree.
     auto unserved_line = [&](size_t id, const std::string& detail) {
-      RecordRouted("/v1/compute", StableHash64(keys[id]), /*backend_id=*/"",
-                   modes[id], 503, wall_timer.ElapsedMs(),
-                   recorders[id] != nullptr
-                       ? recorders[id]->context().TraceIdHex()
-                       : "",
-                   /*body_if_slow=*/nullptr);
-      std::string line = UnservedLine(id, detail);
-      if (recorders[id] != nullptr) {
-        if (std::optional<Json> parsed = Json::Parse(line)) {
-          net::SetTraceBlock(&*parsed, recorders[id]->Finish());
-          line = parsed->Dump();
-        }
-      }
-      return line;
+      router_->requests_unserved_.fetch_add(1);
+      std::optional<Json> line = Json::Parse(net::FrontEndErrorBody(
+          SvcErrorCode::kUpstreamUnavailable, detail));
+      Finish(routed[id], /*backend=*/"", 503, wall_timer.ElapsedMs(), &*line);
+      return RetagParsedLine(*line, uint64_t{id}).Dump();
     };
     for (const std::string& line : immediate) write_line(line);
     for (size_t id : unserved) {
-      router_->requests_unserved_.fetch_add(1);
       write_line(unserved_line(id, "no healthy backend for this shard"));
     }
 
@@ -468,21 +431,15 @@ class RouterHandler : public net::HttpHandler {
           std::string body = "{\"requests\":[";
           for (size_t k = 0; k < ids.size(); ++k) {
             if (k > 0) body += ',';
-            body += item_text[ids[k]];
+            body += routed[ids[k]].text;
           }
           body += "]}";
-          // Every traced id of this sub-batch opens a "hop" span now (its
-          // recorder is touched only by this shard's worker thread until
-          // the hop closes); a mid-stream death leaves the failed hop —
+          // Every id of this sub-batch opens its hop now (its recorder is
+          // touched only by this shard's worker thread until the hop
+          // closes); a mid-stream death leaves the failed hop —
           // error-tagged — in the tree next to the retry hop the failover
           // pass adds.
-          for (size_t id : ids) {
-            if (recorders[id] != nullptr) {
-              recorders[id]->Begin("hop");
-              recorders[id]->Attr("backend", channel->id());
-              recorders[id]->Attr("attempt", std::to_string(depth));
-            }
-          }
+          for (size_t id : ids) routed[id].BeginHop(channel->id(), depth);
           std::vector<bool> seen(ids.size(), false);
           std::unique_ptr<net::ShapleyClient> client = channel->Acquire();
           try {
@@ -501,37 +458,13 @@ class RouterHandler : public net::HttpHandler {
               }
               seen[*local] = true;
               const size_t gid = ids[*local];
-              // Per-line digest: the latency is CLIENT-OBSERVED (batch
-              // arrival → this line ready), matching the backend's batch
-              // digests; a slow line captures its own forwarded item so
-              // the outlier replays standalone through /v1/compute.
-              RecordRouted("/v1/compute", StableHash64(keys[gid]),
-                           channel->id(), modes[gid], LineStatus(*parsed),
-                           wall_timer.ElapsedMs(),
-                           recorders[gid] != nullptr
-                               ? recorders[gid]->context().TraceIdHex()
-                               : "",
-                           &item_text[gid]);
-              if (recorders[gid] != nullptr) {
-                // Close the hop (grafting the backend's subtree from the
-                // line's trace block) and install the finished cluster
-                // tree into the line this client actually receives.
-                std::optional<obs::RequestTrace> backend_trace;
-                if (const Json* trace_json = parsed->Find("trace")) {
-                  backend_trace = net::DecodeTrace(*trace_json);
-                }
-                if (backend_trace.has_value()) {
-                  recorders[gid]->EndGraft(std::move(backend_trace->root));
-                } else {
-                  recorders[gid]->End();
-                }
-                Json traced_line = *parsed;
-                net::SetTraceBlock(&traced_line, recorders[gid]->Finish());
-                write_line(
-                    RetagParsedLine(traced_line, uint64_t{gid}).Dump());
-              } else {
-                write_line(RetagParsedLine(*parsed, uint64_t{gid}).Dump());
-              }
+              // The line's latency is CLIENT-OBSERVED (batch arrival →
+              // this line ready), matching the backend's batch items; a
+              // slow line captures its own forwarded item so the outlier
+              // replays standalone through /v1/compute.
+              Finish(routed[gid], channel->id(), LineStatus(*parsed),
+                     wall_timer.ElapsedMs(), &*parsed);
+              write_line(RetagParsedLine(*parsed, uint64_t{gid}).Dump());
             });
             channel->Release(std::move(client));
           } catch (const std::runtime_error& e) {
@@ -543,20 +476,14 @@ class RouterHandler : public net::HttpHandler {
             channel->CountFailed(missing.size());
             // The undelivered ids' hops failed: tag and close them before
             // the failover pass opens their retry hops.
-            for (size_t id : missing) {
-              if (recorders[id] != nullptr) {
-                recorders[id]->Attr("error", e.what());
-                recorders[id]->End();
-              }
-            }
+            for (size_t id : missing) routed[id].FailHop(e.what());
             if (depth == 0) {
               // Re-rank each survivor against CURRENT health; several may
               // share a fallback, so regroup before re-sending.
               std::map<size_t, std::vector<size_t>> regrouped;
               for (size_t id : missing) {
-                const std::vector<size_t> order = HealthyRank(keys[id]);
+                const std::vector<size_t> order = HealthyRank(routed[id].key);
                 if (order.empty()) {
-                  router_->requests_unserved_.fetch_add(1);
                   write_line(unserved_line(
                       id, "no healthy backend for this shard"));
                 } else {
@@ -569,7 +496,6 @@ class RouterHandler : public net::HttpHandler {
               }
             } else {
               for (size_t id : missing) {
-                router_->requests_unserved_.fetch_add(1);
                 write_line(unserved_line(
                     id, "shard failed and failover exhausted"));
               }
@@ -788,10 +714,6 @@ ShardRouter::ShardRouter(const std::vector<std::string>& backend_specs,
     ids.push_back(backends_.back()->id());
   }
   shard_map_ = ShardMap(std::move(ids));
-  // The router's own always-on deck (flight + slow-log; its sketches stay
-  // empty — see RouterHandler::HandleHot), sized by the same server
-  // options a backend would use.
-  deck_ = std::make_unique<net::DebugDeck>(options_.server);
   pool_ = std::make_unique<ThreadPool>(std::max<size_t>(
       8, static_cast<size_t>(std::thread::hardware_concurrency())));
   handler_ = std::make_unique<RouterHandler>(this);
@@ -802,7 +724,6 @@ ShardRouter::ShardRouter(const std::vector<std::string>& backend_specs,
   // shapley_router_ prefix — disjoint from every backend series by name
   // (and transport families are disjoint by their role label).
   metrics_ = std::make_unique<obs::MetricsRegistry>();
-  net::RegisterDebugDeckMetrics(metrics_.get(), deck_.get(), "router");
   metrics_->AddCollector([this] {
     metrics_
         ->GetCounter("shapley_router_requests_routed_total",

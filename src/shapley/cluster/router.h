@@ -59,9 +59,10 @@ std::string RetagNdjsonLine(const std::string& line, uint64_t new_id);
 ///                     fleet view + the router's own "server" counters
 ///   GET  /v1/cluster  the shard map, per-backend health and the routed/
 ///                     failed/retried counters
-///   GET  /healthz     answered by the router itself (role "router")
-///   GET  /v1/debug/flight|slow  the router's OWN always-on deck: a flight
-///                     digest per routed request (engine = backend id) and
+///   GET  /healthz, /metrics, /v1/debug/flight|slow  answered by the
+///                     router's HttpServer itself (role "router"); its
+///                     deck holds a flight digest per routed request and
+///                     per routed batch line (engine = backend id) and
 ///                     slow captures of outlier forwards
 ///   GET  /v1/debug/hot  fans out to every healthy backend's /v1/debug/hot
 ///                     and folds the sketches (MergeHeavySummaries) into
@@ -120,11 +121,6 @@ class ShardRouter {
   /// and the transport counters its HttpServer folds in (role "router").
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
 
-  /// The router's always-on debug deck (owned; never null). Its flight
-  /// ring and slow-log record every routed request; its sketches stay
-  /// empty — /v1/debug/hot is the MERGED backend view instead.
-  net::DebugDeck* debug_deck() { return deck_.get(); }
-
  private:
   friend class RouterHandler;
 
@@ -135,7 +131,6 @@ class ShardRouter {
   const RouterOptions options_;
   ShardMap shard_map_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<net::DebugDeck> deck_;
   std::vector<std::unique_ptr<BackendChannel>> backends_;
   /// Where forwarding runs; outlives server_, whose drain waits on it.
   std::unique_ptr<ThreadPool> pool_;

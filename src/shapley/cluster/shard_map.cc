@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,29 +28,47 @@ std::string ShardKeyFor(const SvcRequest& request) {
   // request's own schema and sorts it: any process holding a canonically
   // equal (query, database) computes the same key.
   // This runs per request on the always-on digest path as well as per
-  // routed request, so it builds into ONE reserved buffer: render each
-  // fact once, sort the renderings, append — no intermediate joins.
-  const auto append_sorted = [&](const Database& facts, std::string* key) {
-    std::vector<std::string> rendered;
-    rendered.reserve(facts.facts().size());
-    size_t length = 0;
-    for (const Fact& fact : facts.facts()) {
-      rendered.push_back(fact.ToString(*request.db.schema()));
-      length += rendered.back().size() + 1;
+  // routed request, so every fact is rendered once into ONE text buffer,
+  // each partition's renderings are sorted as spans of it, and the key is
+  // built in one reserved buffer.
+  // A database without facts may have no schema: it is read per fact.
+  const Schema* schema = request.db.schema().get();
+  const std::vector<Fact>& endogenous = request.db.endogenous().facts();
+  const std::vector<Fact>& exogenous = request.db.exogenous().facts();
+  std::string text;
+  text.reserve(16 * (endogenous.size() + exogenous.size()));
+  std::vector<std::pair<size_t, size_t>> spans;  // (offset, length) in text.
+  spans.reserve(endogenous.size() + exogenous.size());
+  for (const std::vector<Fact>* facts : {&endogenous, &exogenous}) {
+    for (const Fact& fact : *facts) {
+      const size_t begin = text.size();
+      fact.AppendTo(*schema, &text);
+      spans.emplace_back(begin, text.size() - begin);
     }
-    std::sort(rendered.begin(), rendered.end());
-    key->reserve(key->size() + length);
-    for (const std::string& fact : rendered) {
-      *key += fact;
-      *key += '\x1e';
+  }
+  const std::string_view all = text;
+  const auto by_text = [all](const auto& a, const auto& b) {
+    return all.substr(a.first, a.second) < all.substr(b.first, b.second);
+  };
+  const auto exogenous_begin = spans.begin() + endogenous.size();
+  std::sort(spans.begin(), exogenous_begin, by_text);
+  std::sort(exogenous_begin, spans.end(), by_text);
+
+  const std::string query = request.query->ToString();
+  std::string key;
+  key.reserve(8 + query.size() + text.size() + spans.size());
+  const auto append = [&](auto first, auto last) {
+    for (; first != last; ++first) {
+      key.append(text, first->first, first->second);
+      key += '\x1e';
     }
   };
-  std::string key = "route\x1f";
-  key += request.query->ToString();
+  key += "route\x1f";
+  key += query;
   key += '\x1f';
-  append_sorted(request.db.endogenous(), &key);
+  append(spans.begin(), exogenous_begin);
   key += '\x1f';
-  append_sorted(request.db.exogenous(), &key);
+  append(exogenous_begin, spans.end());
   return key;
 }
 

@@ -16,22 +16,22 @@ bool Fact::Mentions(Constant c) const {
 }
 
 std::string Fact::ToString(const Schema& schema) const {
+  std::string out;
+  AppendTo(schema, &out);
+  return out;
+}
+
+void Fact::AppendTo(const Schema& schema, std::string* out) const {
   // Direct string building: this renders on hot serving paths (response
   // encoding, shard keys), where a per-call ostringstream dominates the
   // actual formatting work.
-  const std::string& relation = schema.name(relation_);
-  size_t length = relation.size() + 2 + (args_.empty() ? 0 : args_.size() - 1);
-  for (Constant arg : args_) length += arg.name().size();
-  std::string out;
-  out.reserve(length);
-  out += relation;
-  out += '(';
+  *out += schema.name(relation_);
+  *out += '(';
   for (size_t i = 0; i < args_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += args_[i].name();
+    if (i > 0) *out += ',';
+    *out += args_[i].name();
   }
-  out += ')';
-  return out;
+  *out += ')';
 }
 
 std::strong_ordering operator<=>(const Fact& a, const Fact& b) {

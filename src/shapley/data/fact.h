@@ -28,6 +28,8 @@ class Fact {
 
   /// "R(a,b)" given the schema that owns the relation id.
   std::string ToString(const Schema& schema) const;
+  /// Appends the same rendering to `out`.
+  void AppendTo(const Schema& schema, std::string* out) const;
 
   friend bool operator==(const Fact& a, const Fact& b) {
     return a.relation_ == b.relation_ && a.args_ == b.args_;

@@ -12,6 +12,9 @@ namespace shapley::net {
 
 namespace {
 
+/// A response (or one batch chunk) larger than this is a transport error.
+constexpr size_t kMaxResponseBytes = 64 * 1024 * 1024;
+
 /// Transport failures throw: there is no server response to hand back.
 [[noreturn]] void ThrowTransport(const std::string& what) {
   throw std::runtime_error("ShapleyClient: " + what);
@@ -67,8 +70,7 @@ bool ShapleyClient::EnsureConnected() {
   // instant failure — but attempts are capped, so a DEAD backend still
   // fails in bounded time and the router can move on to a fallback shard.
   const ReconnectBackoff backoff(options_.base_backoff_ms,
-                                 options_.max_backoff_ms,
-                                 options_.backoff_seed);
+                                 options_.max_backoff_ms, /*seed=*/0);
   const int attempts = std::max(options_.connect_attempts, 1);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const int delay = backoff.DelayMs(static_cast<size_t>(attempt));
@@ -117,7 +119,7 @@ HttpResponse ShapleyClient::RoundTrip(
     }
     HttpResponse response;
     const HttpReadResult result = ReadHttpResponse(
-        reader_.get(), options_.max_body_bytes, &response, chunked);
+        reader_.get(), kMaxResponseBytes, &response, chunked);
     if (result == HttpReadResult::kOk) {
       const std::string* connection =
           FindHeader(response.headers, "Connection");
@@ -140,7 +142,8 @@ HttpResponse ShapleyClient::RoundTrip(
                      std::to_string(options_.read_timeout_ms) + " ms");
     }
     if (result == HttpReadResult::kTooLarge) {
-      ThrowTransport("response beyond max_body_bytes");
+      ThrowTransport("response beyond the client limit of " +
+                     std::to_string(kMaxResponseBytes) + " bytes");
     }
     ThrowTransport("connection failed mid-response");
   }
@@ -196,7 +199,7 @@ std::vector<SvcResponse> ShapleyClient::ComputeBatch(
   bool done = false;
   std::string chunk;
   while (!done) {
-    if (!ReadChunk(reader.get(), options_.max_body_bytes, &chunk, &done)) {
+    if (!ReadChunk(reader.get(), kMaxResponseBytes, &chunk, &done)) {
       ThrowTransport("batch stream died mid-way");
     }
     pending += chunk;
@@ -291,7 +294,7 @@ void ShapleyClient::RawBatch(
   bool done = false;
   std::string chunk;
   while (!done) {
-    if (!ReadChunk(reader.get(), options_.max_body_bytes, &chunk, &done)) {
+    if (!ReadChunk(reader.get(), kMaxResponseBytes, &chunk, &done)) {
       ThrowTransport("batch stream died mid-way");
     }
     pending += chunk;

@@ -18,7 +18,6 @@ struct ClientOptions {
   /// Per-read timeout. Generous by default: an exact engine may legitimately
   /// think for a while before the response starts.
   int read_timeout_ms = 60'000;
-  size_t max_body_bytes = 64 * 1024 * 1024;
   /// Dial attempts per EnsureConnected (≥ 1). The first attempt is
   /// immediate; each later one waits out ReconnectBackoff::DelayMs first.
   int connect_attempts = 4;
@@ -26,10 +25,6 @@ struct ClientOptions {
   /// jittered delay in [cap/2, cap] with cap = min(base·2^(k−1), max).
   int base_backoff_ms = 10;
   int max_backoff_ms = 250;
-  /// Jitter seed. The schedule is a pure function of (seed, attempt) —
-  /// deterministic for tests, while different clients (different seeds)
-  /// still spread their retries instead of dialing in lockstep.
-  uint64_t backoff_seed = 0;
 };
 
 /// The client's reconnect schedule: capped exponential backoff with

@@ -28,6 +28,10 @@ double MsSince(std::chrono::steady_clock::time_point from) {
       .count();
 }
 
+int HttpStatusOf(const SvcResponse& response) {
+  return response.ok() ? 200 : HttpStatusFor(response.error->code);
+}
+
 /// A traced request's recorder, installed on it and rooted at its arrival
 /// (the worker wait and the decode, timed before we knew, get honest
 /// offsets); the context is the wire's, else derived from `bytes`.
@@ -66,63 +70,62 @@ bool WriteJsonResponse(ResponseWriter* writer, int status,
 // DebugDeck — always-on instruments and their /v1/debug/* renderings
 // ---------------------------------------------------------------------------
 
-RequestDigestKeys DigestKeysFor(const SvcRequest& request) {
-  // The shard key is the canonical, process-independent identity of the
-  // instance (cluster/shard_map.h) — the SAME key the router shards by, so
-  // a backend's hot list and the router's fleet view name identical keys.
-  RequestDigestKeys keys;
-  keys.shard_key = cluster::ShardKeyFor(request);
-  keys.shard_key_hash = cluster::StableHash64(keys.shard_key);
-  return keys;
+void DebugDeck::Record(obs::FlightDigest digest, double wall_ms,
+                       const std::string& shard_key,
+                       const std::string& query_class,
+                       const std::function<std::string()>& body) {
+  digest.latency_us = static_cast<uint64_t>(wall_ms * 1000.0);
+  if (!shard_key.empty()) hot_keys.Record(shard_key);
+  if (!query_class.empty()) hot_classes.Record(query_class);
+  if (body && slow.ShouldCapture(wall_ms)) {
+    obs::SlowEntry entry;
+    entry.target = digest.target;
+    entry.body = body();
+    entry.latency_ms = wall_ms;
+    entry.status = digest.status;
+    entry.engine = digest.engine;
+    entry.mode = digest.mode;
+    entry.strategy = digest.strategy;
+    entry.shard_key_hash = digest.shard_key_hash;
+    entry.trace_id = digest.trace_id;
+    slow.Capture(std::move(entry));
+  }
+  flight.Record(std::move(digest));
 }
 
-bool RecordServedRequest(DebugDeck* deck, const RequestDigestKeys& keys,
-                         const std::string& target,
-                         const SvcResponse& response, int status,
-                         double wall_ms, const std::string& trace_id) {
-  if (deck == nullptr) return false;
+void RecordServed(DebugDeck* deck, const SvcResponse& response,
+                  double wall_ms, const std::string& shard_key,
+                  const std::string& trace_id,
+                  const std::function<std::string()>& body) {
+  // Every response-derived field is read off the response here; the shard
+  // key was taken from the request before it moved into the service. A
+  // batch item captured as slow goes under /v1/compute with its own bytes,
+  // so it replays standalone, without its batch siblings.
+  const bool approx = response.approx.has_value();
   obs::FlightDigest digest;
-  digest.target = target;
-  digest.shard_key_hash = keys.shard_key_hash;
+  digest.target = "/v1/compute";
+  digest.shard_key_hash =
+      shard_key.empty() ? 0 : cluster::StableHash64(shard_key);
   digest.engine = response.engine;
   digest.mode = shapley::ToString(response.mode);
-  digest.strategy = response.approx.has_value()
-                        ? response.approx->strategy
-                        : (response.engine.empty() ? "" : "exact");
-  digest.status = status;
-  digest.latency_us = static_cast<uint64_t>(wall_ms * 1000.0);
-  digest.samples = response.approx.has_value() ? response.approx->samples : 0;
-  digest.cache_hits =
-      response.approx.has_value() ? response.approx->memo_hits : 0;
+  digest.strategy = approx ? response.approx->strategy
+                           : (response.engine.empty() ? "" : "exact");
+  digest.status = HttpStatusOf(response);
+  digest.samples = approx ? response.approx->samples : 0;
+  digest.cache_hits = approx ? response.approx->memo_hits : 0;
   digest.trace_id = trace_id;
-  deck->flight.Record(std::move(digest));
-  if (!keys.shard_key.empty()) deck->hot_keys.Record(keys.shard_key);
-  deck->hot_classes.Record(response.verdict.query_class.empty()
-                               ? "unclassified"
-                               : response.verdict.query_class);
-  return deck->slow.ShouldCapture(wall_ms);
+  deck->Record(std::move(digest), wall_ms, shard_key,
+               response.verdict.query_class.empty()
+                   ? "unclassified"
+                   : response.verdict.query_class,
+               body);
 }
 
-void CaptureSlow(DebugDeck* deck, const RequestDigestKeys& keys,
-                 const std::string& target, std::string body,
-                 const SvcResponse& response, int status, double wall_ms,
-                 const std::string& trace_id) {
-  if (deck == nullptr) return;
-  obs::SlowEntry entry;
-  entry.target = target;
-  entry.body = std::move(body);
-  entry.latency_ms = wall_ms;
-  entry.status = status;
-  entry.engine = response.engine;
-  entry.mode = shapley::ToString(response.mode);
-  entry.strategy = response.approx.has_value()
-                       ? response.approx->strategy
-                       : (response.engine.empty() ? "" : "exact");
-  entry.shard_key_hash = keys.shard_key_hash;
-  entry.trace_id = trace_id;
-  deck->slow.Capture(std::move(entry));
-}
+namespace {
 
+/// The GET /v1/debug/* response bodies (canonical member order; every
+/// timestamp a RELATIVE offset — see obs/replay.h on what comparisons
+/// strip).
 std::string DebugFlightBody(const DebugDeck& deck) {
   Json entries = Json::Arr();
   for (const obs::FlightRecorder::Entry& entry : deck.flight.Snapshot()) {
@@ -150,14 +153,16 @@ std::string DebugFlightBody(const DebugDeck& deck) {
   return body.Dump();
 }
 
-std::string DebugHotBody(const DebugDeck& deck, const std::string& role) {
+/// A backend's own sketches; the router answers /v1/debug/hot with the
+/// fleet merge instead.
+std::string DebugHotBody(const DebugDeck& deck) {
   Json sketches;
   sketches.Set("shard_key",
                obs::HeavySummaryJson(deck.hot_keys.Summary()));
   sketches.Set("query_class",
                obs::HeavySummaryJson(deck.hot_classes.Summary()));
   Json body;
-  body.Set("role", Json::Str(role));
+  body.Set("role", Json::Str("backend"));
   body.Set("sketches", std::move(sketches));
   return body.Dump();
 }
@@ -175,6 +180,9 @@ std::string DebugSlowBody(const DebugDeck& deck) {
   return body.Dump();
 }
 
+/// The scrape-time collector exposing the deck as the shapley_flight_* /
+/// shapley_heavy_* / shapley_slowlog_* families, role-labeled so a router
+/// and a backend sharing a dashboard stay disjoint.
 void RegisterDebugDeckMetrics(obs::MetricsRegistry* metrics, DebugDeck* deck,
                               const std::string& role) {
   metrics->AddCollector([metrics, deck, role] {
@@ -234,6 +242,8 @@ void RegisterDebugDeckMetrics(obs::MetricsRegistry* metrics, DebugDeck* deck,
   });
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ServiceHandler
 // ---------------------------------------------------------------------------
@@ -272,9 +282,7 @@ void ServiceHandler::Handle(std::shared_ptr<ResponseWriter> writer,
   }
   // The GET endpoints only read counters and rings: answered right here.
   if (request.target == "/v1/engines" || request.target == "/v1/stats" ||
-      request.target == "/v1/debug/flight" ||
-      request.target == "/v1/debug/hot" ||
-      request.target == "/v1/debug/slow") {
+      request.target == "/v1/debug/hot") {
     if (request.method != "GET") {
       done(WriteJsonResponse(
           writer.get(), 405,
@@ -286,7 +294,8 @@ void ServiceHandler::Handle(std::shared_ptr<ResponseWriter> writer,
     } else if (request.target == "/v1/stats") {
       done(HandleStats(writer.get(), keep_alive, counters));
     } else {
-      done(HandleDebug(writer.get(), request, keep_alive));
+      done(WriteJsonResponse(writer.get(), 200, DebugHotBody(*deck_),
+                             keep_alive));
     }
     return;
   }
@@ -297,29 +306,9 @@ void ServiceHandler::Handle(std::shared_ptr<ResponseWriter> writer,
       keep_alive));
 }
 
-bool ServiceHandler::HandleDebug(ResponseWriter* writer,
-                                 const HttpRequest& request, bool keep_alive) {
-  if (deck_ == nullptr) {
-    return WriteJsonResponse(
-        writer, 404,
-        FrontEndErrorBody(SvcErrorCode::kInvalidRequest,
-                          "no debug deck attached to this handler"),
-        keep_alive);
-  }
-  std::string body;
-  if (request.target == "/v1/debug/flight") {
-    body = DebugFlightBody(*deck_);
-  } else if (request.target == "/v1/debug/hot") {
-    body = DebugHotBody(*deck_, "backend");
-  } else {
-    body = DebugSlowBody(*deck_);
-  }
-  return WriteJsonResponse(writer, 200, body, keep_alive);
-}
-
-void ServiceHandler::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
+ServiceHandler::ServiceHandler(ShapleyService* service,
+                               obs::MetricsRegistry* metrics, DebugDeck* deck)
+    : service_(service), metrics_(metrics), deck_(deck) {
   // Deep-path phase histograms (fed by traced requests) are registered
   // eagerly so the families are grep-able on a zero-traffic scrape.
   obs::RegisterPhaseMetrics(metrics_);
@@ -360,7 +349,6 @@ void ServiceHandler::set_metrics(obs::MetricsRegistry* metrics) {
   // counters mirror via Set() from ONE snapshot, so a scrape's components
   // are as coherent as Stats() itself, and the conservation gauge below is
   // computed from the same snapshot the components came from.
-  ShapleyService* service = service_;
   obs::MetricsRegistry* registry = metrics_;
   metrics_->AddCollector([service, registry] {
     const ServiceStats s = service->Stats();
@@ -425,7 +413,6 @@ void ServiceHandler::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void ServiceHandler::ObserveArrival() {
-  if (metrics_ == nullptr) return;
   metrics_
       ->GetHistogram("shapley_queue_depth",
                      "Service inflight requests sampled at request arrival",
@@ -433,24 +420,43 @@ void ServiceHandler::ObserveArrival() {
       ->Observe(static_cast<double>(service_->requests_inflight()));
 }
 
-void ServiceHandler::ObserveRequest(const SvcResponse& response,
-                                    double wall_ms) {
-  if (metrics_ == nullptr) return;
+Json ServiceHandler::Finish(const SvcResponse& response, const Schema& schema,
+                            obs::TraceRecorder* recorder,
+                            Clock::time_point arrival,
+                            const std::string& shard_key,
+                            const std::function<std::string()>& body) {
+  if (recorder != nullptr) recorder->Begin("encode");
+  Json encoded = EncodeResponse(response, schema);
+  if (recorder != nullptr) {
+    // The encode span can only close AFTER encoding — the finished tree is
+    // patched into the already-built body, and its spans feed the
+    // aggregate phase histograms so /metrics and the trace block agree.
+    recorder->End();
+    const obs::RequestTrace trace = recorder->Finish();
+    obs::ObserveTracePhases(metrics_, trace.root);
+    SetTraceBlock(&encoded, trace);
+  }
+  // A batch item's latency is CLIENT-OBSERVED: batch arrival to its line
+  // streaming out (queueing behind siblings included).
+  const double wall_ms = MsSince(arrival);
   // Labels describe what actually SERVED the request: "none" when no
-  // engine ran (classify-only, refused), "exact" when the answer carries
-  // no approximation contract.
-  const std::string engine = response.engine.empty() ? "none"
-                                                     : response.engine;
-  const std::string strategy =
-      response.approx.has_value() ? response.approx->strategy : "exact";
+  // engine ran (classify-only, refused, undecodable), "exact" when the
+  // answer carries no approximation contract.
+  const bool approx = response.approx.has_value();
   metrics_
       ->GetHistogram("shapley_request_latency_ms",
                      "Wall time from request decode to response encode",
                      obs::LatencyBucketsMs(),
-                     {{"engine", engine},
+                     {{"engine", response.engine.empty() ? "none"
+                                                         : response.engine},
                       {"mode", shapley::ToString(response.mode)},
-                      {"strategy", strategy}})
+                      {"strategy", approx ? response.approx->strategy
+                                          : "exact"}})
       ->Observe(wall_ms);
+  RecordServed(deck_, response, wall_ms, shard_key,
+               recorder != nullptr ? recorder->context().TraceIdHex() : "",
+               body);
+  return encoded;
 }
 
 bool ServiceHandler::HandleCompute(ResponseWriter* writer,
@@ -477,10 +483,8 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
                              keep_alive);
   }
   const double decode_ms = decode_timer.ElapsedMs();
-  // Digest identity comes off the decoded request NOW — Compute consumes
-  // the request, and the always-on instruments record after it returns.
-  const RequestDigestKeys digest_keys =
-      deck_ != nullptr ? DigestKeysFor(decoded.request) : RequestDigestKeys{};
+  // The shard key comes off the decoded request NOW — Compute consumes it.
+  const std::string shard_key = cluster::ShardKeyFor(decoded.request);
   ObserveArrival();
   // Recorder allocated ONLY for traced requests — the untraced hot path
   // carries a null pointer end to end.
@@ -491,31 +495,12 @@ bool ServiceHandler::HandleCompute(ResponseWriter* writer,
   }
   // The engine runs inline on this service-pool worker: one of the
   // service's `threads`, the only place a served request computes.
-  SvcResponse response =
+  const SvcResponse response =
       service_->Compute(std::move(decoded.request), arrival);
-  const int status =
-      response.ok() ? 200 : HttpStatusFor(response.error->code);
-  if (recorder != nullptr) recorder->Begin("encode");
-  Json body = EncodeResponse(response, *decoded.schema);
-  if (recorder != nullptr) {
-    // The encode span can only close AFTER encoding — the finished tree is
-    // patched into the already-built body, and its spans feed the
-    // aggregate phase histograms so /metrics and the trace block agree.
-    recorder->End();
-    const obs::RequestTrace trace = recorder->Finish();
-    if (metrics_ != nullptr) obs::ObserveTracePhases(metrics_, trace.root);
-    SetTraceBlock(&body, trace);
-  }
-  const double wall_ms = MsSince(arrival);
-  ObserveRequest(response, wall_ms);
-  const std::string trace_id =
-      recorder != nullptr ? recorder->context().TraceIdHex() : "";
-  if (RecordServedRequest(deck_, digest_keys, request.target, response,
-                          status, wall_ms, trace_id)) {
-    CaptureSlow(deck_, digest_keys, request.target, request.body, response,
-                status, wall_ms, trace_id);
-  }
-  return WriteJsonResponse(writer, status, body.Dump(), keep_alive);
+  const Json body = Finish(response, *decoded.schema, recorder.get(), arrival,
+                           shard_key, [&request] { return request.body; });
+  return WriteJsonResponse(writer, HttpStatusOf(response), body.Dump(),
+                           keep_alive);
 }
 
 /// One /v1/batch in flight: what its items' completions share. Each
@@ -524,7 +509,7 @@ struct ServiceHandler::BatchStream {
   struct Slot {
     std::shared_ptr<Schema> schema;
     std::unique_ptr<obs::TraceRecorder> recorder;  // Traced items only.
-    RequestDigestKeys digest_keys;  // Taken before the request moves.
+    std::string shard_key;  // Taken before the request moves.
   };
 
   std::shared_ptr<ResponseWriter> writer;
@@ -602,7 +587,7 @@ void ServiceHandler::HandleBatch(std::shared_ptr<ResponseWriter> writer,
       slot.recorder = StartTrace(&decoded.request, items[i].Dump(), arrival,
                                  decode_start_ms, decode_ms);
     }
-    if (deck_ != nullptr) slot.digest_keys = DigestKeysFor(decoded.request);
+    slot.shard_key = cluster::ShardKeyFor(decoded.request);
     decoded.request.cancel = batch->cancel;
     ObserveArrival();
     service_->Submit(
@@ -617,33 +602,12 @@ void ServiceHandler::HandleBatch(std::shared_ptr<ResponseWriter> writer,
 void ServiceHandler::StreamItem(BatchStream& batch, size_t index,
                                 const SvcResponse& response) {
   BatchStream::Slot& slot = batch.slots[index];
-  obs::TraceRecorder* recorder = slot.recorder.get();
-  if (recorder != nullptr) recorder->Begin("encode");
-  Json line = EncodeResponse(response, *slot.schema);
-  if (recorder != nullptr) {
-    recorder->End();
-    const obs::RequestTrace trace = recorder->Finish();
-    if (metrics_ != nullptr) obs::ObserveTracePhases(metrics_, trace.root);
-    SetTraceBlock(&line, trace);
-  }
-  // Per-item latency is CLIENT-OBSERVED: batch arrival to this line
-  // streaming out (queueing behind siblings included).
-  const double item_wall_ms = MsSince(batch.arrival);
-  ObserveRequest(response, item_wall_ms);
-  const int item_status =
-      response.ok() ? 200 : HttpStatusFor(response.error->code);
-  const std::string trace_id =
-      recorder != nullptr ? recorder->context().TraceIdHex() : "";
-  // A slow batch ITEM captures under /v1/compute with its own single-
-  // request body (the item re-emits its bytes verbatim — raw number tokens
-  // and member order are preserved), so the captured outlier replays
-  // standalone, without dragging its batch siblings in.
-  if (RecordServedRequest(deck_, slot.digest_keys, "/v1/compute", response,
-                          item_status, item_wall_ms, trace_id)) {
-    CaptureSlow(deck_, slot.digest_keys, "/v1/compute",
-                (*batch.items)[index].Dump(), response, item_status,
-                item_wall_ms, trace_id);
-  }
+  // The item re-emits its bytes verbatim (raw number tokens and member
+  // order are preserved), only when it was slow.
+  const Json line =
+      Finish(response, *slot.schema, slot.recorder.get(), batch.arrival,
+             slot.shard_key,
+             [&batch, index] { return (*batch.items)[index].Dump(); });
   // The id leads the object so a human tailing the stream sees it first.
   Json tagged;
   tagged.Set("id", Json::Number(uint64_t{index}));
@@ -732,22 +696,14 @@ struct Completion {
 }  // namespace
 
 HttpServer::HttpServer(ShapleyService* service, ServerOptions options)
-    : owned_handler_(std::make_unique<ServiceHandler>(service)),
-      handler_(owned_handler_.get()),
-      options_(std::move(options)) {
-  SetUpMetrics();
-  auto* service_handler = static_cast<ServiceHandler*>(owned_handler_.get());
-  service_handler->set_metrics(metrics_);
-  // The always-on debug deck: flight ring + sketches + slow-log, recorded
-  // on every request this handler serves and scraped as the
-  // shapley_flight_* / shapley_heavy_* / shapley_slowlog_* families.
-  owned_deck_ = std::make_unique<DebugDeck>(options_);
-  service_handler->set_debug(owned_deck_.get());
-  RegisterDebugDeckMetrics(metrics_, owned_deck_.get(), options_.role);
+    : HttpServer(static_cast<HttpHandler*>(nullptr), std::move(options)) {
+  owned_handler_ =
+      std::make_unique<ServiceHandler>(service, metrics_, &deck_);
+  handler_ = owned_handler_.get();
 }
 
 HttpServer::HttpServer(HttpHandler* handler, ServerOptions options)
-    : handler_(handler), options_(std::move(options)) {
+    : handler_(handler), options_(std::move(options)), deck_(options_) {
   SetUpMetrics();
 }
 
@@ -843,6 +799,9 @@ void HttpServer::SetUpMetrics() {
                    role)
         ->Set(static_cast<double>(s.output_queue_bytes));
   });
+  // The always-on debug deck: flight ring + sketches + slow-log, recorded
+  // on every request the handler serves.
+  RegisterDebugDeckMetrics(metrics_, &deck_, options_.role);
 }
 
 HttpServer::~HttpServer() {
@@ -963,10 +922,13 @@ EventLoop::Disposition HttpServer::OnRequest(
     options_.request_log->Append(request.target, request.body);
   }
 
-  if (request.target == "/healthz" || request.target == "/metrics") {
+  if (request.target == "/healthz" || request.target == "/metrics" ||
+      request.target == "/v1/debug/flight" ||
+      request.target == "/v1/debug/slow") {
     // Answered ON THE LOOP THREAD: a router probing a backend's health, or
     // a scrape, must get a response even when the service behind it (or
-    // the fleet behind a router) is busy to the gills.
+    // the fleet behind a router) is busy to the gills; the deck's rings
+    // are read the same way.
     int status = 200;
     const char* content_type = "application/json";
     std::string text;
@@ -980,6 +942,10 @@ EventLoop::Disposition HttpServer::OnRequest(
       body.Set("version", Json::Str(kShapleyVersion));
       body.Set("role", Json::Str(options_.role));
       text = body.Dump();
+    } else if (request.target == "/v1/debug/flight") {
+      text = DebugFlightBody(deck_);
+    } else if (request.target == "/v1/debug/slow") {
+      text = DebugSlowBody(deck_);
     } else {
       content_type = "text/plain; version=0.0.4";
       text = metrics_->RenderPrometheus();

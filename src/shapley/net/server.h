@@ -10,6 +10,7 @@
 
 #include "shapley/net/event_loop.h"
 #include "shapley/net/http.h"
+#include "shapley/net/json.h"
 #include "shapley/obs/flight.h"
 #include "shapley/obs/heavy.h"
 #include "shapley/obs/slowlog.h"
@@ -95,8 +96,9 @@ class HttpHandler {
   /// call `done` from wherever the response is finished. The server turns
   /// `done` into the loop's completion exactly once on every path: a throw
   /// out of Handle, or every copy of `done` dropped uncalled, ends the
-  /// connection. GET /healthz and /metrics never reach the handler — the
-  /// server answers them itself.
+  /// connection. GET /healthz, /metrics, /v1/debug/flight and
+  /// /v1/debug/slow never reach the handler — the server answers them
+  /// itself.
   virtual void Handle(std::shared_ptr<ResponseWriter> writer,
                       HttpRequest request, bool keep_alive,
                       const ServerCounters& counters, HandlerDone done) = 0;
@@ -105,9 +107,9 @@ class HttpHandler {
 /// The always-on debug instruments of one serving process — a flight
 /// recorder of recent request digests, two heavy-hitter sketches (by
 /// canonical shard key and by classifier query class), and the slow-log of
-/// captured outlier bodies. One deck per process: the service-hosting
-/// HttpServer creates and owns one; the shard router builds its own and
-/// serves it through the same /v1/debug/* surface.
+/// captured outlier bodies. One deck per process: every HttpServer owns
+/// one, backend and router alike, answers GET /v1/debug/flight and
+/// /v1/debug/slow from it and exposes it on /metrics under its role.
 struct DebugDeck {
   /// Flight-recorder ring slots — how many recent request digests survive.
   static constexpr size_t kFlightCapacity = 1024;
@@ -122,51 +124,35 @@ struct DebugDeck {
         hot_classes(kHeavyK),
         slow(options.slow_threshold_ms, kSlowLogCapacity) {}
 
+  /// Records one finished request — a backend single or batch item, a
+  /// routed request or a routed batch line — into every instrument: the
+  /// digest into the flight ring (its latency_us taken from `wall_ms`), a
+  /// sketch hit for `shard_key` and for `query_class`, each only when
+  /// non-empty, and, when `wall_ms` reaches the slow threshold, the
+  /// verbatim request bytes `body` returns into the slow-log. `body` runs
+  /// only for a slow request; an empty `body` is never captured.
+  /// Thread-safe.
+  void Record(obs::FlightDigest digest, double wall_ms,
+              const std::string& shard_key, const std::string& query_class,
+              const std::function<std::string()>& body);
+
   obs::FlightRecorder flight;
   obs::SpaceSaving hot_keys;     ///< Keyed by canonical shard key.
   obs::SpaceSaving hot_classes;  ///< Keyed by dichotomy query class.
   obs::SlowLog slow;
 };
 
-/// The request-derived identity of a digest, computed from the DECODED
-/// request BEFORE it moves into the service (everything response-derived —
-/// engine, strategy, samples — is read off the response at record time).
-struct RequestDigestKeys {
-  std::string shard_key;  ///< cluster::ShardKeyFor; "" without a query.
-  uint64_t shard_key_hash = 0;
-};
-
-RequestDigestKeys DigestKeysFor(const SvcRequest& request);
-
-/// Records one served request into every always-on instrument of `deck`
-/// (flight digest + both sketches). Returns true when the request was slow
-/// enough to capture — the CALLER then materializes the body and calls
-/// CaptureSlow, so the hot path never copies a body that was not slow.
-/// Null deck → no-op, returns false.
-bool RecordServedRequest(DebugDeck* deck, const RequestDigestKeys& keys,
-                         const std::string& target,
-                         const SvcResponse& response, int status,
-                         double wall_ms, const std::string& trace_id);
-
-/// Promotes one slow request — `body` is the VERBATIM wire bytes, so the
-/// entry replays bit-identically — into the deck's slow-log.
-void CaptureSlow(DebugDeck* deck, const RequestDigestKeys& keys,
-                 const std::string& target, std::string body,
-                 const SvcResponse& response, int status, double wall_ms,
-                 const std::string& trace_id);
-
-/// The GET /v1/debug/* response bodies (canonical member order; every
-/// timestamp a RELATIVE offset — see obs/replay.h on what comparisons
-/// strip). Shared by the backend handler and the router's own endpoints.
-std::string DebugFlightBody(const DebugDeck& deck);
-std::string DebugHotBody(const DebugDeck& deck, const std::string& role);
-std::string DebugSlowBody(const DebugDeck& deck);
-
-/// Registers the scrape-time collector exposing the deck as the
-/// shapley_flight_* / shapley_heavy_* / shapley_slowlog_* families, role-
-/// labeled so a router and a backend sharing a dashboard stay disjoint.
-void RegisterDebugDeckMetrics(obs::MetricsRegistry* metrics, DebugDeck* deck,
-                              const std::string& role);
+/// The whole always-on record of one request a ServiceHandler served, a
+/// single or a batch item: its flight digest, read off `response`, goes
+/// into `deck` through the one DebugDeck::Record call, with a sketch hit
+/// for `shard_key` and for the response's query class ("unclassified" when
+/// it has none). `trace_id` is a traced request's id, else "". `body`
+/// yields the verbatim request bytes, asked for only when the request was
+/// slow.
+void RecordServed(DebugDeck* deck, const SvcResponse& response,
+                  double wall_ms, const std::string& shard_key,
+                  const std::string& trace_id,
+                  const std::function<std::string()>& body);
 
 /// A response body for failures raised by the HTTP layer itself (no
 /// service round-trip happened): same wire shape as every other error, so
@@ -192,33 +178,25 @@ bool WriteJsonResponse(ResponseWriter* writer, int status,
 ///                     head-of-line-blocks a fast one behind it
 ///   GET  /v1/engines  the registry: names, descriptions, capabilities
 ///   GET  /v1/stats    ServiceStats snapshot (+ server connection counters)
-///   GET  /v1/debug/flight|hot|slow  the attached DebugDeck (set_debug)
+///   GET  /v1/debug/hot  this backend's two heavy-hitter sketches
 ///
 /// GETs only read counters and rings: answered on the loop thread. A POST
 /// is one task on the service pool (decode, then a single's engine inline
 /// or a batch's items submitted, each completion writing its own line).
-/// Latency, queue_ms and the timeout_ms deadline count from arrival.
+/// Latency, queue_ms and the timeout_ms deadline count from arrival. Every
+/// finished single and batch item is observed on `metrics` and recorded
+/// into `deck`.
 class ServiceHandler : public HttpHandler {
  public:
-  /// `service` outlives the handler; not owned.
-  explicit ServiceHandler(ShapleyService* service) : service_(service) {}
+  /// None is owned; all three outlive the handler and none is null.
+  /// Registers the ServiceStats, oracle-cache and phase collectors on
+  /// `metrics`.
+  ServiceHandler(ShapleyService* service, obs::MetricsRegistry* metrics,
+                 DebugDeck* deck);
 
   void Handle(std::shared_ptr<ResponseWriter> writer, HttpRequest request,
               bool keep_alive, const ServerCounters& counters,
               HandlerDone done) override;
-
-  /// Attaches a metrics registry (not owned; outlives the handler):
-  /// registers the ServiceStats scrape collector and starts observing the
-  /// shapley_request_latency_ms{engine,mode,strategy} and
-  /// shapley_queue_depth histograms per request. HttpServer calls this for
-  /// its owned handler; an externally-hosted handler may call it directly.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
-  /// Attaches the always-on debug deck (not owned; outlives the handler).
-  /// Every served request records a flight digest + sketch hits; requests
-  /// past the slow threshold capture their verbatim body. HttpServer calls
-  /// this with its owned deck; null detaches (debug endpoints answer 404).
-  void set_debug(DebugDeck* deck) { deck_ = deck; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -230,26 +208,30 @@ class ServiceHandler : public HttpHandler {
   void HandleBatch(std::shared_ptr<ResponseWriter> writer,
                    const HttpRequest& request, bool keep_alive,
                    Clock::time_point arrival, HandlerDone done);
-  /// One batch item's completion: encode, record, write its line; the last
-  /// one writes the terminal chunk and calls the batch's done.
+  /// One batch item's completion: finish, write its line; the last one
+  /// writes the terminal chunk and calls the batch's done.
   void StreamItem(BatchStream& batch, size_t index,
                   const SvcResponse& response);
+  /// The one end of a served request, a single or a batch item: encodes
+  /// the response, closes its trace (encode span, phase histograms, trace
+  /// block), observes shapley_request_latency_ms (labels from the
+  /// RESPONSE: the engine that actually served it, the realized strategy)
+  /// and records it into the deck through RecordServed. `body` yields the
+  /// verbatim request bytes, asked for only when the request was slow.
+  /// Returns the encoded response.
+  Json Finish(const SvcResponse& response, const Schema& schema,
+              obs::TraceRecorder* recorder, Clock::time_point arrival,
+              const std::string& shard_key,
+              const std::function<std::string()>& body);
   bool HandleEngines(ResponseWriter* writer, bool keep_alive);
   bool HandleStats(ResponseWriter* writer, bool keep_alive,
                    const ServerCounters& counters);
-  bool HandleDebug(ResponseWriter* writer, const HttpRequest& request,
-                   bool keep_alive);
-
-  /// Latency-histogram observation for one finished request: labels come
-  /// from the RESPONSE (engine that actually served it, realized strategy),
-  /// so routing decisions are visible in the series breakdown.
-  void ObserveRequest(const SvcResponse& response, double wall_ms);
   /// Queue-depth observation at request arrival.
   void ObserveArrival();
 
   ShapleyService* service_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  DebugDeck* deck_ = nullptr;
+  obs::MetricsRegistry* metrics_;
+  DebugDeck* deck_;
 };
 
 /// The TCP/HTTP front: an epoll event loop multiplexing the listener and
@@ -264,7 +246,9 @@ class ServiceHandler : public HttpHandler {
 /// ON THE LOOP THREAD, so a health probe costs no handler (or service)
 /// work and never queues behind dispatched requests. GET /metrics is
 /// answered the same way (Prometheus text exposition of the server's
-/// registry), so a scrape works even when every worker is busy.
+/// registry), so a scrape works even when every worker is busy, and so
+/// are GET /v1/debug/flight and /v1/debug/slow, read off the server's own
+/// DebugDeck — for a backend and the shard router alike.
 ///
 /// Execution model: one loop thread owns every fd and runs each
 /// connection's state machine (read-accumulate → parse → dispatch →
@@ -290,7 +274,8 @@ class HttpServer {
   /// `service` outlives the server; not owned. Wraps it in an owned
   /// ServiceHandler.
   HttpServer(ShapleyService* service, ServerOptions options = {});
-  /// `handler` outlives the server; not owned.
+  /// `handler` outlives the server; not owned. It records the requests it
+  /// finishes into debug_deck().
   HttpServer(HttpHandler* handler, ServerOptions options = {});
   ~HttpServer();
 
@@ -326,25 +311,26 @@ class HttpServer {
   /// else the server's own. Never null.
   obs::MetricsRegistry* metrics() { return metrics_; }
 
-  /// The always-on debug deck behind GET /v1/debug/* — owned and wired by
-  /// the service constructor; null for a handler-hosted server (the host,
-  /// e.g. the shard router, brings its own deck).
-  DebugDeck* debug_deck() { return owned_deck_.get(); }
+  /// The always-on debug deck behind GET /v1/debug/flight and /slow —
+  /// owned by the server; the handler records every finished request into
+  /// it. Never null.
+  DebugDeck* debug_deck() { return &deck_; }
 
  private:
   /// Resolves metrics_ (options or owned), registers shapley_build_info,
-  /// the transport-counter collector and the shapley_server_eventloop_*
-  /// collector. Ctor-only.
+  /// the transport-counter collector, the shapley_server_eventloop_*
+  /// collector and the deck's collector. Ctor-only.
   void SetUpMetrics();
   /// The event loop's request callback (LOOP THREAD): answers /healthz,
-  /// /metrics inline; dispatches everything else to the handler.
+  /// /metrics and /v1/debug/flight|slow inline; dispatches everything else
+  /// to the handler.
   EventLoop::Disposition OnRequest(uint64_t conn_id, HttpRequest&& request,
                                    std::shared_ptr<ConnWriter> writer);
 
-  std::unique_ptr<HttpHandler> owned_handler_;
-  std::unique_ptr<DebugDeck> owned_deck_;  ///< Service ctor only.
+  std::unique_ptr<HttpHandler> owned_handler_;  ///< Service ctor only.
   HttpHandler* handler_;
   const ServerOptions options_;
+  DebugDeck deck_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;  ///< Never null after construction.
   std::unique_ptr<EventLoop> loop_;

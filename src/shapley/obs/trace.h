@@ -30,7 +30,7 @@ namespace shapley::obs {
 ///
 /// Tracing is strictly opt-in: a disabled-trace request allocates no
 /// recorder and takes no trace lock anywhere on the hot path (enforced by
-/// bench_trace_overhead). This header stays dependency-light on purpose —
+/// bench_obs_overhead). This header stays dependency-light on purpose —
 /// service/request.h embeds RequestTrace in every SvcResponse.
 
 /// Cluster-wide identity of one traced request. The 128-bit trace id is

@@ -53,8 +53,7 @@ ShapleyService::ShapleyService(ServiceOptions options, EngineRegistry registry)
       registry_(std::move(registry)),
       verdict_cache_(options.verdict_cache_entries) {
   if (options_.use_cache) {
-    cache_ = std::make_unique<OracleCache>(options_.cache_max_entries,
-                                           options_.cache_max_bytes);
+    cache_ = std::make_unique<OracleCache>();
   }
   size_t threads = options_.threads;
   if (threads == 0) {

@@ -27,10 +27,9 @@ struct ServiceOptions {
   /// engine-internal work serial too — the deterministic mode.
   size_t threads = 0;
 
-  /// Share one OracleCache across every request the service ever serves.
+  /// Share one OracleCache (its default bounds) across every request the
+  /// service ever serves.
   bool use_cache = true;
-  size_t cache_max_entries = 1 << 16;
-  size_t cache_max_bytes = size_t{512} << 20;
 
   /// Bound of the verdict-memoization LRU: classification is a pure
   /// function of the query, so repeated-query streams skip it entirely

@@ -19,14 +19,19 @@
 //      cross the router verbatim (forward compatibility);
 //  (f) the router's /v1/debug/hot is ONE merged fleet view: folding each
 //      backend's own sketches client-side with MergeHeavySummaries
-//      reproduces it exactly, and the counts are exact under capacity.
+//      reproduces it exactly, and the counts are exact under capacity;
+//  (g) the router's own deck records every routed single and batch line
+//      (/v1/debug/flight), captures forwarded bodies verbatim
+//      (/v1/debug/slow) and keeps its sketches empty.
 
 #include "shapley/cluster/router.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -36,8 +41,10 @@
 #include "shapley/common/version.h"
 #include "shapley/data/parser.h"
 #include "shapley/net/client.h"
+#include "shapley/net/codec.h"
 #include "shapley/net/server.h"
 #include "shapley/obs/heavy.h"
+#include "shapley/obs/slowlog.h"
 #include "shapley/query/query_parser.h"
 #include "shapley/service/shapley_service.h"
 
@@ -583,6 +590,107 @@ TEST(RouterTest, DebugHotMergesBackendSketchesIntoOneFleetView) {
   EXPECT_EQ(merged_classes->total, 24u);
   ASSERT_EQ(merged_classes->hitters.size(), 1u);
   EXPECT_EQ(merged_classes->hitters[0].count, 24u);
+}
+
+// The router's own deck lives in its HttpServer: one flight digest per
+// routed single and per routed batch line (engine = the backend that
+// served it), slow captures of the forwarded bytes, and no sketch hits.
+TEST(RouterTest, DebugFlightAndSlowRecordEveryRoutedRequest) {
+  auto schema = Schema::Create();
+  RouterOptions options = FastRouterOptions();
+  options.server.slow_threshold_ms = 1e-6;  // Every request is "slow".
+  Fleet fleet(3, options);
+  ShapleyClient client("127.0.0.1", fleet.router->port());
+
+  // A single, a 3-item batch, then a single no backend may serve.
+  const SvcRequest single = EasyInstance(schema, 0);
+  const std::vector<SvcRequest> items = {EasyInstance(schema, 1),
+                                         EasyInstance(schema, 2),
+                                         EasyInstance(schema, 3)};
+  const SvcRequest unserved = EasyInstance(schema, 4);
+  const std::string single_body = net::EncodeRequest(single).Dump();
+  std::vector<std::string> item_bodies;
+  std::string batch_body = "{\"requests\":[";
+  for (const SvcRequest& item : items) {
+    item_bodies.push_back(net::EncodeRequest(item).Dump());
+    if (item_bodies.size() > 1) batch_body += ',';
+    batch_body += item_bodies.back();
+  }
+  batch_body += "]}";
+
+  int status = 0;
+  client.RawCompute(single_body, &status);
+  EXPECT_EQ(status, 200);
+  size_t lines = 0;
+  client.RawBatch(batch_body, [&](const std::string&) { ++lines; });
+  EXPECT_EQ(lines, items.size());
+  for (size_t i = 0; i < fleet.router->num_backends(); ++i) {
+    fleet.router->backend(i)->set_healthy(false);
+  }
+  client.RawCompute(net::EncodeRequest(unserved).Dump(), &status);
+  EXPECT_EQ(status, 503);
+
+  // Flight: five /v1/compute digests in order — the single, the batch
+  // lines in completion order, the unserved single.
+  std::map<uint64_t, std::string> home_of;  // shard_key_hash → spec.
+  for (const SvcRequest* request : {&single, &items[0], &items[1],
+                                    &items[2], &unserved}) {
+    home_of[cluster::StableHash64(cluster::ShardKeyFor(*request))] =
+        fleet.specs[fleet.HomeShard(*request)];
+  }
+  const auto flight =
+      Json::Parse(client.RawGet("/v1/debug/flight", &status));
+  ASSERT_EQ(status, 200);
+  ASSERT_TRUE(flight.has_value());
+  const Json::Array* digests = flight->Find("entries")->IfArray();
+  ASSERT_NE(digests, nullptr);
+  ASSERT_EQ(digests->size(), 5u);
+  std::set<uint64_t> hashes;
+  for (size_t i = 0; i < digests->size(); ++i) {
+    SCOPED_TRACE("digest " + std::to_string(i));
+    const Json& digest = (*digests)[i];
+    EXPECT_EQ(*digest.Find("target")->IfString(), "/v1/compute");
+    const uint64_t hash = digest.Find("shard_key_hash")->IfUint64().value();
+    ASSERT_EQ(home_of.count(hash), 1u);
+    hashes.insert(hash);
+    const bool last = i + 1 == digests->size();
+    EXPECT_EQ(*digest.Find("engine")->IfString(),
+              last ? "" : home_of[hash]);
+    EXPECT_EQ(digest.Find("status")->IfInt64().value(), last ? 503 : 200);
+  }
+  EXPECT_EQ(hashes.size(), 5u);
+  EXPECT_EQ((*digests)[0].Find("shard_key_hash")->IfUint64().value(),
+            cluster::StableHash64(cluster::ShardKeyFor(single)));
+  EXPECT_EQ((*digests)[4].Find("shard_key_hash")->IfUint64().value(),
+            cluster::StableHash64(cluster::ShardKeyFor(unserved)));
+
+  // Slow-log: every forwarded body verbatim, each batch item standalone
+  // under /v1/compute; the unserved single reached no backend and has no
+  // entry.
+  std::vector<obs::LogEntry> slow;
+  ASSERT_TRUE(obs::ParseSlowLogBody(
+      client.RawGet("/v1/debug/slow", &status), &slow));
+  ASSERT_EQ(status, 200);
+  ASSERT_EQ(slow.size(), 4u);
+  EXPECT_EQ(slow[0].body, single_body);
+  std::multiset<std::string> captured;
+  for (const obs::LogEntry& entry : slow) {
+    EXPECT_EQ(entry.target, "/v1/compute");
+    captured.insert(entry.body);
+  }
+  EXPECT_EQ(captured,
+            std::multiset<std::string>({single_body, item_bodies[0],
+                                        item_bodies[1], item_bodies[2]}));
+
+  // The router records no sketch: /v1/debug/hot is the backends' merge.
+  const std::string text = fleet.router->metrics()->RenderPrometheus();
+  for (const char* sketch : {"shard_key", "query_class"}) {
+    EXPECT_NE(text.find(std::string("shapley_heavy_recorded_total{role="
+                                    "\"router\",sketch=\"") +
+                        sketch + "\"} 0\n"),
+              std::string::npos)
+        << sketch;
+  }
 }
 
 }  // namespace

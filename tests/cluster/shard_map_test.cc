@@ -9,7 +9,8 @@
 //  (c) Pick honors eligibility and falls through the ranking in order;
 //  (d) ShardKeyFor is the canonical instance fingerprint: equal instances
 //      (even textually different ones) share a key, distinct instances
-//      get distinct keys, and a query-less request yields "".
+//      get distinct keys, a query-less request yields "", and a query
+//      over an empty database is keyed by the query alone.
 
 #include "shapley/cluster/shard_map.h"
 
@@ -131,6 +132,13 @@ TEST(ShardMapTest, ShardKeyIsTheCanonicalInstanceFingerprint) {
   // No query → no fingerprint; the router falls back to hashing the body.
   SvcRequest empty;
   EXPECT_EQ(ShardKeyFor(empty), "");
+
+  // A query over a default database (no facts, no schema) still has a key:
+  // the query alone, with both partitions empty.
+  SvcRequest no_facts;
+  no_facts.query = a.query;
+  EXPECT_EQ(ShardKeyFor(no_facts),
+            "route\x1f" + a.query->ToString() + "\x1f\x1f");
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //      net/client comes back BIT-IDENTICAL to in-process
 //      ShapleyService::Compute(), with SvcError codes surfaced as the
 //      documented HTTP statuses;
-//  (b) the server drains in-flight requests on Stop(): responses already
-//      being computed are streamed out, never dropped;
+//  (b) the server drains in-flight requests on Stop(): a batch held on a
+//      latch mid-flight is finished and streamed out, never dropped;
 //  (c) transport-level behavior: keep-alive connection reuse, unknown
 //      endpoints, malformed HTTP, oversized bodies, /v1/engines and
 //      /v1/stats, and Start() throwing when the event loop cannot be
@@ -273,43 +273,52 @@ TEST(ServerTest, SingleComputeSurfacesDocumentedStatuses) {
 
 TEST(ServerTest, StopDrainsInFlightBatchWithoutDroppingResponses) {
   auto schema = Schema::Create();
-  // #P-hard instances sized to take real time on the brute engine, so
-  // Stop() demonstrably lands while work is in flight.
-  QueryPtr hard = ParseQuery(schema, "R(x), S(x,y), T(y)");
-  std::string db_text;
-  for (int i = 0; i < 17; ++i) {
-    db_text += "R(a" + std::to_string(i) + ") ";
-    db_text += "S(a" + std::to_string(i) + ",b" + std::to_string(i % 3) +
-               ") ";
-  }
-  db_text += "| T(b0) T(b1)";
-  PartitionedDatabase db = ParsePartitionedDatabase(schema, db_text);
-
-  std::vector<SvcRequest> requests(6);
-  for (SvcRequest& request : requests) {
-    request.query = hard;
-    request.db = db;
-  }
-
-  Stack stack(ServiceOptions{.threads = 2});
+  SvcRequest request;
+  request.query = ParseQuery(schema, "R(x), S(x,y)");
+  request.db = ParsePartitionedDatabase(schema, "R(a) S(a,b)");
+  request.engine = "probe";
+  ProbeLog log;
+  Stack stack(ServiceOptions{.threads = 2}, ServerOptions{},
+              RegistryWithProbe(&log));
   std::vector<SvcResponse> responses;
   std::thread submitter([&] {
     ShapleyClient client("127.0.0.1", stack.server.port());
-    responses = client.ComputeBatch(requests);
+    responses = client.ComputeBatch(std::vector<SvcRequest>(6, request));
   });
-  // Let the batch reach the service, then close the door mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  stack.server.Stop();
+  // Both workers hold an item on the probe's latch: the batch is in flight.
+  {
+    std::unique_lock<std::mutex> lock(log.mutex);
+    ASSERT_TRUE(log.changed.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return log.active == 2; }));
+  }
+  bool released_when_stopped = false;
+  std::thread stopper([&] {
+    stack.server.Stop();
+    std::lock_guard<std::mutex> lock(log.mutex);
+    released_when_stopped = log.released;
+  });
+  // Stop() has closed the door; give a Stop() that did not wait time to
+  // return before the latch opens.
+  while (stack.server.running()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  {
+    std::lock_guard<std::mutex> lock(log.mutex);
+    log.released = true;
+  }
+  log.changed.notify_all();
+  stopper.join();
   submitter.join();
 
-  // Every response arrived; whatever the service already accepted
-  // completed with values (the service keeps draining its own queue).
-  ASSERT_EQ(responses.size(), requests.size());
+  // Stop() waited for the batch, and every response arrived.
+  EXPECT_TRUE(released_when_stopped);
+  ASSERT_EQ(responses.size(), 6u);
   for (size_t i = 0; i < responses.size(); ++i) {
     SCOPED_TRACE("response " + std::to_string(i));
-    ASSERT_TRUE(responses[i].ok()) << responses[i].error->ToString();
-    EXPECT_FALSE(responses[i].values.empty());
+    EXPECT_TRUE(responses[i].ok()) << responses[i].error->ToString();
   }
+  EXPECT_EQ(log.calls, 6);
 }
 
 TEST(ServerTest, StopDoesNotWaitOutIdleKeepAliveConnections) {
