@@ -50,14 +50,16 @@ echo "== obs tests (guard: registry units, /metrics scrapes, record/replay, trac
 "$build_dir/obs_cluster_trace_test" --gtest_brief=1
 
 echo "== tsan (thread sanitizer: pool, service, event loop, completions, router) =="
-# A second build dir compiled with -fsanitize=thread, tests only: these six
+# A second build dir compiled with -fsanitize=thread, tests only: these seven
 # cover the thread pool, the service's submit/completion paths, the event
-# loop with completions writing from pool threads, and the router's
-# forwarding pool. Any report fails the run (TSan exits 66 on a report).
+# loop with completions writing from pool threads, and the router
+# forwarding while backends complete on their pools, traced and with a
+# backend killed mid-batch. Any report fails the run (TSan exits 66 on a
+# report).
 tsan_dir="${build_dir}-tsan"
 tsan_tests=(exec_thread_pool_test service_shapley_service_test
             service_service_concurrency_test net_server_test
-            net_http_parse_test cluster_router_test)
+            net_http_parse_test cluster_router_test obs_cluster_trace_test)
 cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DSHAPLEY_BUILD_BENCHES=OFF -DSHAPLEY_BUILD_EXAMPLES=OFF
 cmake --build "$tsan_dir" -j "$jobs" --target "${tsan_tests[@]}"
@@ -231,6 +233,59 @@ for s in conns:
 print(f"high-concurrency smoke: {N} keep-alive connections x 2 rounds, all 200")
 PYEOF
 
+echo "== route smoke (same live server behind a router: call, batch, drain) =="
+# The CLI's route in front of the serve process above: the exact and
+# sampling calls through it must match the local values bit for bit, a
+# 3-item /v1/batch must answer ids 0-2 exactly once each, and SIGTERM must
+# drain it to exit 0.
+route_log="$build_dir/route_smoke.log"
+"$build_dir/example_cli" route --port 0 --backends "127.0.0.1:$port" \
+    > "$route_log" 2>/dev/null &
+route_pid=$!
+trap 'kill "$route_pid" "$serve_pid" 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+  grep -q "^listening on " "$route_log" && break
+  sleep 0.1
+done
+route_port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$route_log")"
+[ -n "$route_port" ] || { echo "route smoke: no port line in $route_log"; exit 1; }
+for extra in "" "--engine sampling --seed 3"; do
+  # shellcheck disable=SC2086
+  "$build_dir/example_cli" call "127.0.0.1:$route_port" values "$smoke_q" "$smoke_db" --json $extra 2>/dev/null \
+      > "$build_dir/route_wire.json"
+  # shellcheck disable=SC2086
+  "$build_dir/example_cli" values "$smoke_q" "$smoke_db" --json $extra 2>/dev/null \
+      > "$build_dir/route_local.json"
+  python3 - "$build_dir/route_wire.json" "$build_dir/route_local.json" <<'PYEOF'
+import json, sys
+wire, local = (json.load(open(p)) for p in sys.argv[1:3])
+assert wire["values"] == local["values"], \
+    f"routed != local:\n{wire['values']}\n{local['values']}"
+assert wire["status"] == 200, wire
+PYEOF
+done
+python3 - "$route_port" <<'PYEOF'
+import json, sys, urllib.request
+port = int(sys.argv[1])
+items = [{"query": "R(?x), S(?x,?y)", "mode": "all-values",
+          "database": {"endogenous": [f"R(a{j})", f"S(a{j},b)"],
+                       "exogenous": [f"S(a{j},c)"]}} for j in range(3)]
+request = urllib.request.Request(
+    f"http://127.0.0.1:{port}/v1/batch",
+    data=json.dumps({"requests": items}).encode(),
+    headers={"Content-Type": "application/json"})
+with urllib.request.urlopen(request, timeout=30) as r:
+    assert r.status == 200, f"batch: status {r.status}"
+    lines = [json.loads(line) for line in r.read().splitlines() if line]
+ids = sorted(line["id"] for line in lines)
+assert ids == [0, 1, 2], f"batch ids {ids}"
+assert all("error" not in line for line in lines), lines
+print("route smoke: 3-item batch through the router, ids 0-2 once each")
+PYEOF
+kill -TERM "$route_pid"
+wait "$route_pid" || { echo "route smoke: router did not drain cleanly"; exit 1; }
+trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "serve smoke: server did not drain cleanly"; exit 1; }
 trap - EXIT
@@ -243,17 +298,6 @@ echo "== bench (net throughput, appending to BENCH_net.json) =="
     --json "$build_dir/bench_net_throughput.json"
 python3 -c 'import json,sys; print(json.dumps(json.load(open(sys.argv[1]))))' \
     "$build_dir/bench_net_throughput.json" \
-    >> "$repo_root/BENCH_net.json"
-
-echo "== bench (cluster scatter/gather, appending to BENCH_net.json) =="
-# Same mixed batch through a ShardRouter fronting 1 backend vs 3 backends,
-# all on ephemeral ports; the bench exits 1 unless every routed response is
-# bit-identical to in-process Compute(), no id is dropped, and every
-# backend of the fleet served at least one request.
-"$build_dir/bench_cluster_scatter" --backends 3 --requests 24 --rounds 2 \
-    --json "$build_dir/bench_cluster_scatter.json"
-python3 -c 'import json,sys; print(json.dumps(json.load(open(sys.argv[1]))))' \
-    "$build_dir/bench_cluster_scatter.json" \
     >> "$repo_root/BENCH_net.json"
 
 echo "== bench (record/replay, appending to BENCH_obs.json) =="

@@ -170,69 +170,34 @@ std::vector<SvcResponse> ShapleyClient::ComputeBatch(
   Json batch;
   batch.Set("requests", std::move(batch_array));
 
-  bool chunked = false;
-  std::unique_ptr<SocketReader> reader;
-  HttpResponse http =
-      RoundTrip("POST", "/v1/batch", batch.Dump(), &chunked, &reader);
-  last_status_ = http.status;
-  if (!chunked) {
-    // Whole-batch refusals (bad envelope JSON) come back unchunked; raise
-    // the structured message — there are no per-request responses to give.
-    auto schema = Schema::Create();
-    SvcResponse error = DecodeOrThrow(http.body, schema);
-    ThrowTransport("batch refused: " + (error.error.has_value()
-                                            ? error.error->message
-                                            : http.body));
-  }
-
-  // However streaming ends — cleanly or by throw — the connection has
-  // protocol state we will not resync; drop it so the next call redials.
-  struct ConnectionDropper {
-    Socket* socket;
-    ~ConnectionDropper() { socket->Close(); }
-  } dropper{&socket_};
-
   // Reassemble completion-order lines into input order via the id tags.
   std::vector<SvcResponse> responses(requests.size());
   std::vector<bool> seen(requests.size(), false);
-  std::string pending;  // ndjson lines may straddle chunk boundaries.
-  bool done = false;
-  std::string chunk;
-  while (!done) {
-    if (!ReadChunk(reader.get(), kMaxResponseBytes, &chunk, &done)) {
-      ThrowTransport("batch stream died mid-way");
+  RawBatch(batch.Dump(), [&](const std::string& line) {
+    std::string parse_error;
+    std::optional<Json> json = Json::Parse(line, &parse_error);
+    if (!json.has_value()) {
+      ThrowTransport("undecodable batch line: " + parse_error);
     }
-    pending += chunk;
-    size_t nl;
-    while ((nl = pending.find('\n')) != std::string::npos) {
-      const std::string line = pending.substr(0, nl);
-      pending.erase(0, nl + 1);
-      if (line.empty()) continue;
-      std::string parse_error;
-      std::optional<Json> json = Json::Parse(line, &parse_error);
-      if (!json.has_value()) {
-        ThrowTransport("undecodable batch line: " + parse_error);
-      }
-      const Json* id_json = json->Find("id");
-      std::optional<uint64_t> id =
-          id_json != nullptr ? id_json->IfUint64() : std::nullopt;
-      if (!id.has_value() || *id >= requests.size()) {
-        ThrowTransport("batch line with a bad id");
-      }
-      // Strip the tag and decode with the matching request's schema.
-      Json untagged;
-      for (const auto& [key, value] : *json->IfObject()) {
-        if (key != "id") untagged.Set(key, value);
-      }
-      SvcResponse response;
-      if (std::optional<SvcError> error = DecodeResponse(
-              untagged, requests[*id].db.schema(), &response)) {
-        ThrowTransport("malformed batch response: " + error->message);
-      }
-      responses[*id] = std::move(response);
-      seen[*id] = true;
+    const Json* id_json = json->Find("id");
+    std::optional<uint64_t> id =
+        id_json != nullptr ? id_json->IfUint64() : std::nullopt;
+    if (!id.has_value() || *id >= requests.size()) {
+      ThrowTransport("batch line with a bad id");
     }
-  }
+    // Strip the tag and decode with the matching request's schema.
+    Json untagged;
+    for (const auto& [key, value] : *json->IfObject()) {
+      if (key != "id") untagged.Set(key, value);
+    }
+    SvcResponse response;
+    if (std::optional<SvcError> error = DecodeResponse(
+            untagged, requests[*id].db.schema(), &response)) {
+      ThrowTransport("malformed batch response: " + error->message);
+    }
+    responses[*id] = std::move(response);
+    seen[*id] = true;
+  });
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!seen[i]) {
       ThrowTransport("batch stream ended without response " +
@@ -242,23 +207,16 @@ std::vector<SvcResponse> ShapleyClient::ComputeBatch(
   return responses;
 }
 
-Json ShapleyClient::Engines() {
-  bool chunked = false;
-  HttpResponse http = RoundTrip("GET", "/v1/engines", "", &chunked, nullptr);
-  last_status_ = http.status;
-  std::string parse_error;
-  std::optional<Json> json = Json::Parse(http.body, &parse_error);
-  if (!json.has_value()) ThrowTransport("bad /v1/engines body: " + parse_error);
-  return *json;
-}
+Json ShapleyClient::Engines() { return GetJson("/v1/engines"); }
 
-Json ShapleyClient::Stats() {
-  bool chunked = false;
-  HttpResponse http = RoundTrip("GET", "/v1/stats", "", &chunked, nullptr);
-  last_status_ = http.status;
+Json ShapleyClient::Stats() { return GetJson("/v1/stats"); }
+
+Json ShapleyClient::GetJson(const std::string& target) {
   std::string parse_error;
-  std::optional<Json> json = Json::Parse(http.body, &parse_error);
-  if (!json.has_value()) ThrowTransport("bad /v1/stats body: " + parse_error);
+  std::optional<Json> json = Json::Parse(RawGet(target, nullptr), &parse_error);
+  if (!json.has_value()) {
+    ThrowTransport("bad " + target + " body: " + parse_error);
+  }
   return *json;
 }
 

@@ -111,6 +111,8 @@ class ShapleyClient {
                          const std::string& body, bool* chunked,
                          std::unique_ptr<SocketReader>* reader_out);
   bool EnsureConnected();
+  /// RawGet of `target`, parsed; throws when the body is not JSON.
+  Json GetJson(const std::string& target);
 
   const std::string host_;
   const uint16_t port_;

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -243,37 +244,42 @@ std::vector<SvcResponse> ReferenceResponses(
 TEST(RouterTest, MixedBatchThroughRouterIsBitIdenticalToInProcessCompute) {
   auto schema = Schema::Create();
   std::vector<SvcRequest> requests = MixedBatch(schema, /*extra_easy=*/12);
-  Fleet fleet(3);
-
-  // The test computes the placement the router MUST produce — rendezvous
-  // hashing is deterministic from (key, backend ids) alone.
-  std::vector<size_t> expected_routed(fleet.backends.size(), 0);
-  for (const SvcRequest& request : requests) {
-    ++expected_routed[fleet.HomeShard(request)];
-  }
-
   std::vector<SvcResponse> expected = ReferenceResponses(requests);
-  ShapleyClient client("127.0.0.1", fleet.router->port());
-  std::vector<SvcResponse> actual = client.ComputeBatch(requests);
-  ExpectBitIdentical(actual, expected);
+  // A one-backend fleet (every key homes on it) and a three-backend one.
+  for (size_t backends : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(std::to_string(backends) + " backends");
+    Fleet fleet(backends);
 
-  // Every backend served exactly its predicted share (no failures, so
-  // routed == home-shard group size), and the batch genuinely scattered.
-  size_t shards_used = 0;
-  for (size_t i = 0; i < fleet.backends.size(); ++i) {
-    SCOPED_TRACE("backend " + std::to_string(i));
-    EXPECT_EQ(fleet.router->backend(i)->routed(), expected_routed[i]);
-    EXPECT_EQ(fleet.router->backend(i)->failed(), 0u);
-    if (expected_routed[i] > 0) ++shards_used;
-  }
-  EXPECT_GE(shards_used, 2u);  // 19 independent keys over 3 backends.
+    // The test computes the placement the router MUST produce — rendezvous
+    // hashing is deterministic from (key, backend ids) alone.
+    std::vector<size_t> expected_routed(fleet.backends.size(), 0);
+    for (const SvcRequest& request : requests) {
+      ++expected_routed[fleet.HomeShard(request)];
+    }
 
-  // Identical instances always revisit their home shard: a repeat batch
-  // doubles every per-backend count instead of re-spraying.
-  std::vector<SvcResponse> again = client.ComputeBatch(requests);
-  ExpectBitIdentical(again, expected);
-  for (size_t i = 0; i < fleet.backends.size(); ++i) {
-    EXPECT_EQ(fleet.router->backend(i)->routed(), 2 * expected_routed[i]);
+    ShapleyClient client("127.0.0.1", fleet.router->port());
+    std::vector<SvcResponse> actual = client.ComputeBatch(requests);
+    ExpectBitIdentical(actual, expected);
+
+    // Every backend served exactly its predicted share (no failures, so
+    // routed == home-shard group size), and the batch genuinely scattered.
+    size_t shards_used = 0;
+    for (size_t i = 0; i < fleet.backends.size(); ++i) {
+      SCOPED_TRACE("backend " + std::to_string(i));
+      EXPECT_EQ(fleet.router->backend(i)->routed(), expected_routed[i]);
+      EXPECT_EQ(fleet.router->backend(i)->failed(), 0u);
+      if (expected_routed[i] > 0) ++shards_used;
+    }
+    // 19 independent keys: one backend serves them all, three split them.
+    EXPECT_GE(shards_used, std::min<size_t>(backends, 2));
+
+    // Identical instances always revisit their home shard: a repeat batch
+    // doubles every per-backend count instead of re-spraying.
+    std::vector<SvcResponse> again = client.ComputeBatch(requests);
+    ExpectBitIdentical(again, expected);
+    for (size_t i = 0; i < fleet.backends.size(); ++i) {
+      EXPECT_EQ(fleet.router->backend(i)->routed(), 2 * expected_routed[i]);
+    }
   }
 }
 
